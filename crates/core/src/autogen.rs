@@ -532,7 +532,7 @@ mod tests {
             std::env::temp_dir().join(format!("gremlin-autogen-steer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let record = |recipe: &str, at: u64, passed: bool, violated: bool, scenario: Scenario| {
-            let mut recorder = FlightRecorder::create(&root, recipe, at, 1_000_000).unwrap();
+            let recorder = FlightRecorder::create(&root, recipe, at, 1_000_000).unwrap();
             let monitor = if violated {
                 vec![LiveCheck {
                     name: "LiveErrorRate(web, <= 1%)".to_string(),

@@ -1591,12 +1591,13 @@ mod tests {
         );
         let registry = MetricsRegistry::new();
         let _ = CoverageLedger::scan_with_telemetry(&root, &registry).unwrap();
+        let snap = registry.snapshot();
         assert_eq!(
-            registry.counter_value("gremlin_ledger_runs_scanned_total", &[]),
+            snap.counter_value("gremlin_ledger_runs_scanned_total", &[]),
             Some(1)
         );
         assert_eq!(
-            registry.counter_value("gremlin_ledger_regressions_total", &[]),
+            snap.counter_value("gremlin_ledger_regressions_total", &[]),
             Some(0)
         );
         let _ = fs::remove_dir_all(&root);

@@ -2,18 +2,22 @@
 //! fault-injection rules to every physical Gremlin agent instance
 //! through the out-of-band control channel.
 //!
-//! Control calls fan out **concurrently**: installs, flushes and
-//! listings go to all agents at once over a bounded worker pool of
-//! scoped threads (at most [`FailureOrchestrator::with_max_fanout`]
-//! in flight), so a fleet-wide push costs roughly one slow agent's
-//! round-trip instead of the sum of all of them. Every agent is
-//! always attempted — a failing agent never shields the rest of the
-//! fleet from the push or the flush — and the first error in agent
-//! order is reported after the whole fan-out completes.
+//! Control calls fan out **concurrently**: installs go to every agent
+//! that has rules to receive, flushes and listings to all agents, over
+//! a bounded pool of scoped threads (at most
+//! [`FailureOrchestrator::with_max_fanout`] calls in flight), so a
+//! fleet-wide push costs roughly one slow agent's round-trip instead
+//! of the sum of all of them. The calling thread is the pool's first
+//! worker and helpers are started only while unclaimed agents remain,
+//! so a push to a single agent starts no thread at all. Every agent
+//! with work is always attempted — a failing agent never shields the
+//! rest of the fleet from the push or the flush — and the first error
+//! in agent order is reported after the whole fan-out completes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -107,6 +111,40 @@ impl ControlTelemetry {
     }
 }
 
+/// One fan-out in flight: what its workers share.
+struct FanOut<'a, T, F> {
+    agents: &'a [Arc<dyn AgentControl>],
+    /// Agent indices to call, in result order.
+    targets: &'a [usize],
+    task: F,
+    /// Next unclaimed position in `targets`.
+    next: AtomicUsize,
+    /// One result per target.
+    slots: Vec<Mutex<Option<T>>>,
+    max_workers: usize,
+}
+
+impl<T: Send, F: Fn(usize, &dyn AgentControl) -> T + Sync> FanOut<'_, T, F> {
+    /// Claims and serves targets until none are left. `workers` counts
+    /// the workers started so far, this one included; each worker
+    /// starts at most one more, so it is also this worker's number.
+    fn work<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, workers: usize) {
+        let mut may_spawn = workers < self.max_workers;
+        loop {
+            let position = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&index) = self.targets.get(position) else {
+                return;
+            };
+            if may_spawn && position + 1 < self.targets.len() {
+                may_spawn = false;
+                scope.spawn(move || self.work(scope, workers + 1));
+            }
+            let result = (self.task)(index, self.agents[index].as_ref());
+            *self.slots[position].lock() = Some(result);
+        }
+    }
+}
+
 impl std::fmt::Debug for FailureOrchestrator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailureOrchestrator")
@@ -153,38 +191,39 @@ impl FailureOrchestrator {
         self.agents.len()
     }
 
-    /// Runs `task` once per agent on a bounded pool of scoped worker
-    /// threads, returning the results in agent order. The pool is
-    /// work-stealing over the agent index, so a slow agent delays
-    /// only its own slot, never the whole fleet.
-    fn fan_out<T: Send>(&self, task: impl Fn(usize, &dyn AgentControl) -> T + Sync) -> Vec<T> {
-        let n = self.agents.len();
-        let workers = self.max_fanout.min(n);
-        if workers <= 1 {
-            return self
-                .agents
-                .iter()
-                .enumerate()
-                .map(|(index, agent)| task(index, agent.as_ref()))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let result = task(index, self.agents[index].as_ref());
-                    *slots[index].lock() = Some(result);
-                });
-            }
-        });
-        slots
+    /// Fan-out targets for a call that goes to the whole fleet.
+    fn all_agents(&self) -> Vec<usize> {
+        (0..self.agents.len()).collect()
+    }
+
+    /// Runs `task` once for each agent in `targets` (agent indices),
+    /// returning the results in `targets` order.
+    ///
+    /// The calling thread is the first worker. Workers claim targets
+    /// off a shared cursor, so a slow agent delays only its own slot;
+    /// a worker that claims a target while others are still unclaimed
+    /// starts one helper before it makes its call, until `max_fanout`
+    /// workers exist. One target therefore spawns nothing, a fleet of
+    /// agents that answer in microseconds is mostly served by the
+    /// threads already running, and a fleet of slow agents has its full
+    /// pool within a few thread start-ups.
+    fn fan_out<T: Send>(
+        &self,
+        targets: &[usize],
+        task: impl Fn(usize, &dyn AgentControl) -> T + Sync,
+    ) -> Vec<T> {
+        let pool = FanOut {
+            agents: &self.agents,
+            targets,
+            task,
+            next: AtomicUsize::new(0),
+            slots: targets.iter().map(|_| Mutex::new(None)).collect(),
+            max_workers: self.max_fanout,
+        };
+        std::thread::scope(|scope| pool.work(scope, 1));
+        pool.slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every agent slot is filled"))
+            .map(|slot| slot.into_inner().expect("every target slot is filled"))
             .collect()
     }
 
@@ -220,11 +259,13 @@ impl FailureOrchestrator {
                 return Err(CoreError::NoAgentForService(src.to_string()));
             }
         }
-        let outcomes = self.fan_out(|index, agent| {
+        // Only agents with a rule group are called.
+        let targets: Vec<usize> = (0..services.len())
+            .filter(|&index| by_src.contains_key(services[index].as_str()))
+            .collect();
+        let outcomes = self.fan_out(&targets, |index, agent| {
             let service = &services[index];
-            let Some(group) = by_src.get(service.as_str()) else {
-                return Ok(0);
-            };
+            let group = &by_src[service.as_str()];
             let push_started = Instant::now();
             let pushed = agent.install_rules(group);
             let push_duration = push_started.elapsed();
@@ -295,17 +336,19 @@ impl FailureOrchestrator {
     /// attempted, so no agent is left with stale rules because an
     /// earlier one was unreachable.
     pub fn clear(&self) -> Result<(), CoreError> {
-        let outcomes = self.fan_out(|index, agent| match agent.clear_rules() {
-            Ok(()) => {
-                if let Some(telemetry) = &self.telemetry {
-                    telemetry.saw_agent(index);
+        let outcomes = self.fan_out(&self.all_agents(), |index, agent| {
+            match agent.clear_rules() {
+                Ok(()) => {
+                    if let Some(telemetry) = &self.telemetry {
+                        telemetry.saw_agent(index);
+                    }
+                    Ok(())
                 }
-                Ok(())
+                Err(source) => Err(CoreError::AgentFailed {
+                    service: agent.service_name(),
+                    source,
+                }),
             }
-            Err(source) => Err(CoreError::AgentFailed {
-                service: agent.service_name(),
-                source,
-            }),
         });
         outcomes.into_iter().find(|o| o.is_err()).unwrap_or(Ok(()))
     }
@@ -318,7 +361,7 @@ impl FailureOrchestrator {
     /// Returns [`CoreError::AgentFailed`] for the first agent whose
     /// listing failed, after every agent was attempted.
     pub fn list_rules(&self) -> Result<Vec<(String, Vec<Rule>)>, CoreError> {
-        let outcomes = self.fan_out(|index, agent| {
+        let outcomes = self.fan_out(&self.all_agents(), |index, agent| {
             let service = agent.service_name();
             match agent.list_rules() {
                 Ok(rules) => {
@@ -339,6 +382,8 @@ mod tests {
     use super::*;
     use gremlin_proxy::{AbortKind, ProxyError};
     use parking_lot::Mutex;
+    use std::collections::HashSet;
+    use std::thread::{self, ThreadId};
 
     /// A scriptable in-memory agent for orchestrator tests.
     struct FakeAgent {
@@ -347,37 +392,32 @@ mod tests {
         fail_installs: bool,
         fail_clears: bool,
         latency: Duration,
+        /// The thread of every `install_rules` call, in call order.
+        install_threads: Mutex<Vec<ThreadId>>,
     }
 
     impl FakeAgent {
-        fn new(service: &str) -> Arc<FakeAgent> {
+        fn scripted(service: &str, failing: bool, latency: Duration) -> Arc<FakeAgent> {
             Arc::new(FakeAgent {
                 service: service.to_string(),
                 rules: Mutex::new(Vec::new()),
-                fail_installs: false,
-                fail_clears: false,
-                latency: Duration::ZERO,
+                fail_installs: failing,
+                fail_clears: failing,
+                latency,
+                install_threads: Mutex::new(Vec::new()),
             })
+        }
+
+        fn new(service: &str) -> Arc<FakeAgent> {
+            FakeAgent::scripted(service, false, Duration::ZERO)
         }
 
         fn failing(service: &str) -> Arc<FakeAgent> {
-            Arc::new(FakeAgent {
-                service: service.to_string(),
-                rules: Mutex::new(Vec::new()),
-                fail_installs: true,
-                fail_clears: true,
-                latency: Duration::ZERO,
-            })
+            FakeAgent::scripted(service, true, Duration::ZERO)
         }
 
         fn slow(service: &str, latency: Duration) -> Arc<FakeAgent> {
-            Arc::new(FakeAgent {
-                service: service.to_string(),
-                rules: Mutex::new(Vec::new()),
-                fail_installs: false,
-                fail_clears: false,
-                latency,
-            })
+            FakeAgent::scripted(service, false, latency)
         }
     }
 
@@ -387,8 +427,9 @@ mod tests {
         }
 
         fn install_rules(&self, rules: &[Rule]) -> Result<(), ProxyError> {
+            self.install_threads.lock().push(thread::current().id());
             if !self.latency.is_zero() {
-                std::thread::sleep(self.latency);
+                thread::sleep(self.latency);
             }
             if self.fail_installs {
                 return Err(ProxyError::InvalidRule("scripted failure".into()));
@@ -570,6 +611,67 @@ mod tests {
         for agent in &agents {
             assert_eq!(agent.rules.lock().len(), 1);
         }
+    }
+
+    fn controls(agents: &[Arc<FakeAgent>]) -> Vec<Arc<dyn AgentControl>> {
+        agents
+            .iter()
+            .map(|agent| Arc::clone(agent) as Arc<dyn AgentControl>)
+            .collect()
+    }
+
+    #[test]
+    fn single_target_push_runs_on_the_callers_thread() {
+        // Fifteen agents, rules for one of them: only that agent is
+        // called, and by the caller itself — no thread is started.
+        let agents: Vec<Arc<FakeAgent>> =
+            (0..15).map(|i| FakeAgent::new(&format!("s{i}"))).collect();
+        let orchestrator = FailureOrchestrator::new(controls(&agents));
+        let rules = vec![
+            Rule::abort("s7", "x", AbortKind::Status(503)),
+            Rule::abort("s7", "y", AbortKind::Status(503)),
+        ];
+        let stats = orchestrator.apply_rules(&rules).unwrap();
+        assert_eq!(stats.installations, 2);
+        for (index, agent) in agents.iter().enumerate() {
+            let threads = agent.install_threads.lock();
+            if index == 7 {
+                assert_eq!(*threads, [thread::current().id()]);
+                assert_eq!(agent.rules.lock().len(), 2);
+            } else {
+                assert!(threads.is_empty(), "agent s{index} has no rules to receive");
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_start_on_demand_up_to_max_fanout() {
+        // Nine slow agents, at most three calls in flight: the caller
+        // serves some itself and exactly two helpers join it.
+        let agents: Vec<Arc<FakeAgent>> = (0..9)
+            .map(|i| FakeAgent::slow(&format!("s{i}"), Duration::from_millis(20)))
+            .collect();
+        let orchestrator = FailureOrchestrator::new(controls(&agents)).with_max_fanout(3);
+        let rules: Vec<Rule> = (0..9)
+            .map(|i| Rule::abort(format!("s{i}"), "c", AbortKind::Status(503)))
+            .collect();
+        let stats = orchestrator.apply_rules(&rules).unwrap();
+        assert_eq!(stats.installations, 9);
+        let threads: HashSet<ThreadId> = agents
+            .iter()
+            .flat_map(|agent| agent.install_threads.lock().clone())
+            .collect();
+        assert!(
+            threads.contains(&thread::current().id()),
+            "the caller works too"
+        );
+        assert_eq!(threads.len(), 3, "two helpers beside the caller");
+        // Three at a time over nine 20ms agents: three rounds, not nine.
+        assert!(
+            stats.duration < Duration::from_millis(150),
+            "took {:?}, serial would be ~180ms",
+            stats.duration
+        );
     }
 
     #[test]

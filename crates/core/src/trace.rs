@@ -14,7 +14,8 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use gremlin_store::{
-    spans_from_store, AppliedFault, Event, EventStore, Micros, Name, Pattern, Query, SpanRecord,
+    span_keys, spans_from_store, AppliedFault, Event, EventStore, Micros, Name, Pattern, Query,
+    SpanKey, SpanRecord,
 };
 
 /// One caller→callee hop of a flow: a request observation paired with
@@ -311,6 +312,103 @@ impl fmt::Display for TraceSummary {
     }
 }
 
+/// Where [`link_parents`] attached a span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Parent {
+    /// Index of the parent span.
+    index: usize,
+    /// `true` when the parent came from timestamps and the call graph
+    /// rather than from span IDs.
+    inferred: bool,
+}
+
+/// The parent-linkage rule, for the spans of one flow in start order:
+/// the one definition [`SpanTree::from_records`] and
+/// [`TraceDigest::from_store`] share.
+///
+/// Explicit linkage first — the parent span ID the agent recorded,
+/// when that span was itself observed. Otherwise the timestamp/graph
+/// fallback: the latest earlier span whose destination is this span's
+/// source and whose lifetime encloses this span's start (an open span —
+/// no observed end — counts as enclosing).
+fn link_parents(spans: &[SpanKey<'_>]) -> Vec<Option<Parent>> {
+    let by_span: HashMap<&Name, usize> = spans
+        .iter()
+        .enumerate()
+        .filter_map(|(index, span)| span.span_id.map(|id| (id, index)))
+        .collect();
+    let infer = |index: usize| {
+        let child = &spans[index];
+        (0..index)
+            .filter(|&candidate| {
+                let parent = &spans[candidate];
+                parent.dst == child.src
+                    && parent.start_us <= child.start_us
+                    && parent.end_us().is_none_or(|end| end >= child.start_us)
+            })
+            .max_by_key(|&candidate| spans[candidate].start_us)
+    };
+    spans
+        .iter()
+        .enumerate()
+        .map(|(index, span)| {
+            let explicit = span
+                .parent_id
+                .and_then(|parent| by_span.get(parent).copied())
+                .filter(|&parent| parent != index);
+            match explicit {
+                Some(parent) => Some(Parent {
+                    index: parent,
+                    inferred: false,
+                }),
+                None => infer(index).map(|parent| Parent {
+                    index: parent,
+                    inferred: true,
+                }),
+            }
+        })
+        .collect()
+}
+
+/// Depth of the deepest causal chain hanging off a parentless span (a
+/// lone root is depth 1). Spans on or below a parent cycle — possible
+/// when a corrupt log names span IDs circularly — hang off no root and
+/// do not count.
+fn causal_depth(spans: usize, parent_of: impl Fn(usize) -> Option<usize>) -> usize {
+    const NO_ROOT: usize = usize::MAX;
+    // 0 = not yet known.
+    let mut depths = vec![0usize; spans];
+    let mut chain: Vec<usize> = Vec::new();
+    for start in 0..spans {
+        // Climb to the nearest ancestor whose depth is known, or past
+        // a root; a climb longer than the flow has gone round a cycle.
+        chain.clear();
+        let mut at = start;
+        let mut depth = loop {
+            if depths[at] != 0 {
+                break depths[at];
+            }
+            if chain.len() == spans {
+                break NO_ROOT;
+            }
+            chain.push(at);
+            match parent_of(at) {
+                Some(parent) => at = parent,
+                None => break 0,
+            }
+        };
+        for &span in chain.iter().rev() {
+            depth = if depth == NO_ROOT { NO_ROOT } else { depth + 1 };
+            depths[span] = depth;
+        }
+    }
+    depths
+        .into_iter()
+        .filter(|&depth| depth != NO_ROOT)
+        .max()
+        .unwrap_or(0)
+}
+
 /// The causal tree of one request flow, assembled from span records.
 ///
 /// Parent/child edges come from the `X-Gremlin-Parent` span IDs the
@@ -338,7 +436,9 @@ impl SpanTree {
 
     /// Assembles a tree from pre-assembled span records.
     pub fn from_records(request_id: &str, mut records: Vec<SpanRecord>) -> SpanTree {
-        records.sort_by(|a, b| a.start_us.cmp(&b.start_us));
+        records.sort_by_key(|record| record.start_us);
+        let keys: Vec<SpanKey<'_>> = records.iter().map(SpanRecord::key).collect();
+        let parents = link_parents(&keys);
         let mut nodes: Vec<SpanNode> = records
             .into_iter()
             .map(|record| SpanNode {
@@ -348,27 +448,12 @@ impl SpanTree {
                 inferred_parent: false,
             })
             .collect();
-
-        let by_span: HashMap<Name, usize> = nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(index, node)| node.record.span_id.clone().map(|span| (span, index)))
-            .collect();
-
-        for index in 0..nodes.len() {
-            // Explicit linkage first: the parent span ID the agent
-            // recorded, when that span was itself observed.
-            let explicit = nodes[index]
-                .record
-                .parent_id
-                .as_ref()
-                .and_then(|parent| by_span.get(parent).copied())
-                .filter(|&parent| parent != index);
-            let (parent, inferred) = match explicit {
-                Some(parent) => (Some(parent), false),
-                None => (SpanTree::infer_parent(&nodes, index), true),
-            };
-            if let Some(parent) = parent {
+        for (index, parent) in parents.into_iter().enumerate() {
+            if let Some(Parent {
+                index: parent,
+                inferred,
+            }) = parent
+            {
                 nodes[index].parent = Some(parent);
                 nodes[index].inferred_parent = inferred;
                 nodes[parent].children.push(index);
@@ -385,25 +470,6 @@ impl SpanTree {
         }
     }
 
-    /// Timestamp/graph fallback for records without usable span IDs:
-    /// the parent is the latest earlier span whose destination is
-    /// this span's source and whose lifetime encloses this span's
-    /// start (an open span — no observed end — counts as enclosing).
-    fn infer_parent(nodes: &[SpanNode], index: usize) -> Option<usize> {
-        let child = &nodes[index];
-        (0..index)
-            .filter(|&candidate| {
-                let parent = &nodes[candidate].record;
-                parent.dst == child.record.src
-                    && parent.start_us <= child.record.start_us
-                    && parent
-                        .end_us()
-                        .map(|end| end >= child.record.start_us)
-                        .unwrap_or(true)
-            })
-            .max_by_key(|&candidate| nodes[candidate].record.start_us)
-    }
-
     /// Number of spans in the flow.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -416,15 +482,7 @@ impl SpanTree {
 
     /// Depth of the deepest causal chain (a lone root is depth 1).
     pub fn depth(&self) -> usize {
-        let mut deepest = 0;
-        let mut stack: Vec<(usize, usize)> = self.roots.iter().map(|&root| (root, 1)).collect();
-        while let Some((index, depth)) = stack.pop() {
-            deepest = deepest.max(depth);
-            for &child in &self.nodes[index].children {
-                stack.push((child, depth + 1));
-            }
-        }
-        deepest
+        causal_depth(self.nodes.len(), |index| self.nodes[index].parent)
     }
 
     /// End-to-end duration: first request to the last observation
@@ -643,8 +701,12 @@ pub struct TraceDigest {
 }
 
 impl TraceDigest {
-    /// Builds the digest by assembling the span tree of every request
-    /// ID in `store`.
+    /// Builds the digest in one pass over the store's flows, under one
+    /// consistent view of the log: each flow's spans are paired and
+    /// linked as borrowed keys — the same pairing and parent linkage
+    /// [`SpanTree`] uses — so no event, record or tree is copied to
+    /// count them. Ties for `slowest` and `deepest` go to the lowest
+    /// request ID.
     pub fn from_store(store: &EventStore) -> TraceDigest {
         let mut digest = TraceDigest {
             flows: 0,
@@ -653,29 +715,54 @@ impl TraceDigest {
             slowest: None,
             deepest: None,
         };
-        for request_id in store.request_ids() {
-            let summary = SpanTree::from_store(store, request_id.as_str()).summary();
-            digest.flows += 1;
-            digest.spans += summary.spans;
-            digest.faulted_spans += summary.faulted_spans;
-            if digest
-                .slowest
-                .as_ref()
-                .map(|s| summary.duration_us > s.duration_us)
-                .unwrap_or(true)
-            {
-                digest.slowest = Some(summary.clone());
-            }
-            if digest
-                .deepest
-                .as_ref()
-                .map(|d| summary.depth > d.depth)
-                .unwrap_or(true)
-            {
-                digest.deepest = Some(summary);
-            }
-        }
+        store.for_each_flow(|request_id, events| {
+            digest.add(flow_summary(request_id, &span_keys(events)));
+        });
         digest
+    }
+
+    fn add(&mut self, summary: TraceSummary) {
+        self.flows += 1;
+        self.spans += summary.spans;
+        self.faulted_spans += summary.faulted_spans;
+        if self
+            .slowest
+            .as_ref()
+            .is_none_or(|slowest| summary.duration_us > slowest.duration_us)
+        {
+            self.slowest = Some(summary.clone());
+        }
+        if self
+            .deepest
+            .as_ref()
+            .is_none_or(|deepest| summary.depth > deepest.depth)
+        {
+            self.deepest = Some(summary);
+        }
+    }
+}
+
+/// The statistics [`SpanTree::summary`] reports, from the flow's spans
+/// in start order.
+fn flow_summary(request_id: &str, spans: &[SpanKey<'_>]) -> TraceSummary {
+    let parents = link_parents(spans);
+    let start = spans.iter().map(|span| span.start_us).min();
+    let end = spans
+        .iter()
+        .map(|span| span.end_us().unwrap_or(span.start_us))
+        .max();
+    TraceSummary {
+        request_id: request_id.to_string(),
+        spans: spans.len(),
+        depth: causal_depth(spans.len(), |index| {
+            parents[index].map(|parent| parent.index)
+        }),
+        duration_us: match (start, end) {
+            (Some(start), Some(end)) => end.saturating_sub(start),
+            _ => 0,
+        },
+        faulted_spans: spans.iter().filter(|span| span.faulted).count(),
+        failed_spans: spans.iter().filter(|span| span.failed()).count(),
     }
 }
 

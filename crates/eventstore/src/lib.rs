@@ -56,6 +56,7 @@ pub use name::Name;
 pub use pattern::Pattern;
 pub use query::{KindFilter, Query};
 pub use spans::{
-    assemble_spans, export_otlp, import_otlp, spans_from_store, OtlpTrace, SpanRecord,
+    assemble_spans, export_otlp, import_otlp, span_keys, spans_from_store, OtlpTrace, SpanKey,
+    SpanRecord,
 };
 pub use store::{EventSink, EventStore};

@@ -11,13 +11,13 @@
 //! in `gremlin-core::trace`; this layer only produces the flat,
 //! serializable records both the collector and the analysis share.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::{AppliedFault, Event, EventKind, Micros};
 use crate::name::Name;
-use crate::pattern::Pattern;
 use crate::query::Query;
 use crate::store::EventStore;
 
@@ -59,6 +59,60 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// The borrowed view of this record that parent linkage and flow
+    /// statistics read.
+    pub fn key(&self) -> SpanKey<'_> {
+        SpanKey {
+            span_id: self.span_id.as_ref(),
+            parent_id: self.parent_id.as_ref(),
+            src: &self.src,
+            dst: &self.dst,
+            start_us: self.start_us,
+            latency_us: self.latency_us,
+            status: self.status,
+            faulted: self.fault.is_some(),
+        }
+    }
+
+    /// When the response was observed (`start + latency`), if one was.
+    pub fn end_us(&self) -> Option<Micros> {
+        self.key().end_us()
+    }
+
+    /// Returns `true` when the call ended in a failure (no response,
+    /// TCP reset, or a 5xx).
+    pub fn failed(&self) -> bool {
+        self.key().failed()
+    }
+}
+
+/// What pairing, parent linkage and flow statistics read of a span,
+/// borrowed from wherever the span lives: a [`SpanRecord`]
+/// ([`SpanRecord::key`]) or the flow's events themselves
+/// ([`span_keys`]). Because both assemble through this one view, a
+/// statistic computed from borrowed keys is the statistic the
+/// assembled records would give.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanKey<'a> {
+    /// Span ID minted by the agent, if any.
+    pub span_id: Option<&'a Name>,
+    /// Span ID of the causally enclosing call, if known.
+    pub parent_id: Option<&'a Name>,
+    /// Calling service.
+    pub src: &'a Name,
+    /// Called service.
+    pub dst: &'a Name,
+    /// When the request was observed.
+    pub start_us: Micros,
+    /// Caller-observed latency; `None` when no response was observed.
+    pub latency_us: Option<Micros>,
+    /// Response status; `None` when no response was observed.
+    pub status: Option<u16>,
+    /// `true` when the agent applied a fault to the call.
+    pub faulted: bool,
+}
+
+impl SpanKey<'_> {
     /// When the response was observed (`start + latency`), if one was.
     pub fn end_us(&self) -> Option<Micros> {
         self.latency_us.map(|latency| self.start_us + latency)
@@ -74,99 +128,140 @@ impl SpanRecord {
     }
 }
 
-/// Pairs the time-sorted events of one request ID into span records.
+/// One intercepted call as the log shows it.
+#[derive(Clone, Copy)]
+struct PairedSpan<'a> {
+    /// The observation that opened the span: its request, or — when
+    /// the request was lost — the orphan response itself.
+    first: &'a Event,
+    /// The response that closed the span (`first` again for an orphan).
+    response: Option<&'a Event>,
+}
+
+impl<'a> PairedSpan<'a> {
+    fn fault(&self) -> Option<&'a AppliedFault> {
+        let of_response = self.response.and_then(|response| response.fault.as_ref());
+        self.first.fault.as_ref().or(of_response)
+    }
+
+    fn key(&self) -> SpanKey<'a> {
+        let (status, latency_us) = match self.response.map(|response| &response.kind) {
+            Some(EventKind::Response { status, latency_us }) => (Some(*status), Some(*latency_us)),
+            _ => (None, None),
+        };
+        let of_response = self
+            .response
+            .and_then(|response| response.parent_id.as_ref());
+        SpanKey {
+            span_id: self.first.span_id.as_ref(),
+            parent_id: self.first.parent_id.as_ref().or(of_response),
+            src: &self.first.src,
+            dst: &self.first.dst,
+            start_us: self.first.timestamp_us,
+            latency_us,
+            status,
+            faulted: self.fault().is_some(),
+        }
+    }
+
+    fn record(&self, trace_id: &str) -> SpanRecord {
+        let key = self.key();
+        SpanRecord {
+            trace_id: trace_id.to_string(),
+            span_id: key.span_id.cloned(),
+            parent_id: key.parent_id.cloned(),
+            src: key.src.clone(),
+            dst: key.dst.clone(),
+            call: match &self.first.kind {
+                EventKind::Request { method, uri } => format!("{method} {uri}"),
+                EventKind::Response { .. } => "(request not observed)".to_string(),
+            },
+            start_us: key.start_us,
+            latency_us: key.latency_us,
+            status: key.status,
+            fault: self.fault().cloned(),
+            agent: self.first.agent.clone(),
+        }
+    }
+}
+
+/// Pairs the time-sorted events of one flow, in start order.
 ///
 /// Events carrying a span ID pair by that ID (request opens the span,
 /// response closes it). Legacy events without span IDs fall back to
 /// the [`FlowTrace`]-era pairing: a response matches the oldest
 /// outstanding request on the same `(src, dst)` edge. Orphan
 /// responses — no span and no outstanding request — are kept as their
-/// own records rather than dropped.
+/// own spans rather than dropped.
 ///
 /// [`FlowTrace`]: https://docs.rs/gremlin-core
-pub fn assemble_spans(request_id: &str, events: &[Event]) -> Vec<SpanRecord> {
-    let mut records: Vec<SpanRecord> = Vec::new();
-    // Open spans by ID, as indices into `records`.
-    let mut open: HashMap<Name, usize> = HashMap::new();
-    // Open legacy (span-less) records awaiting a response, FIFO per
-    // edge, as indices into `records`.
+fn pair_spans<E: Borrow<Event>>(events: &[E]) -> Vec<PairedSpan<'_>> {
+    let mut spans: Vec<PairedSpan<'_>> = Vec::with_capacity(events.len() / 2 + 1);
+    // Open spans by ID, as indices into `spans`.
+    let mut open: HashMap<&Name, usize> = HashMap::new();
+    // Open legacy (span-less) spans awaiting a response, FIFO per
+    // edge, as indices into `spans`.
     let mut pending: Vec<usize> = Vec::new();
-    for event in events {
-        match &event.kind {
-            EventKind::Request { method, uri } => {
-                let index = records.len();
-                records.push(SpanRecord {
-                    trace_id: request_id.to_string(),
-                    span_id: event.span_id.clone(),
-                    parent_id: event.parent_id.clone(),
-                    src: event.src.clone(),
-                    dst: event.dst.clone(),
-                    call: format!("{method} {uri}"),
-                    start_us: event.timestamp_us,
-                    latency_us: None,
-                    status: None,
-                    fault: event.fault.clone(),
-                    agent: event.agent.clone(),
-                });
-                match &event.span_id {
-                    Some(span) => {
-                        open.insert(span.clone(), index);
-                    }
-                    None => pending.push(index),
+    for event in events.iter().map(Borrow::borrow) {
+        if event.kind.is_request() {
+            match &event.span_id {
+                Some(span) => {
+                    open.insert(span, spans.len());
                 }
+                None => pending.push(spans.len()),
             }
-            EventKind::Response { status, latency_us } => {
-                let slot = match &event.span_id {
-                    Some(span) => open.remove(span),
-                    None => {
-                        let position = pending.iter().position(|&index| {
-                            records[index].src == event.src && records[index].dst == event.dst
-                        });
-                        position.map(|p| pending.remove(p))
-                    }
-                };
-                match slot {
-                    Some(index) => {
-                        let record = &mut records[index];
-                        record.status = Some(*status);
-                        record.latency_us = Some(*latency_us);
-                        if record.fault.is_none() {
-                            record.fault = event.fault.clone();
-                        }
-                        if record.parent_id.is_none() {
-                            record.parent_id = event.parent_id.clone();
-                        }
-                    }
-                    None => {
-                        // A response with no recorded request (log
-                        // loss): surface it rather than dropping it.
-                        records.push(SpanRecord {
-                            trace_id: request_id.to_string(),
-                            span_id: event.span_id.clone(),
-                            parent_id: event.parent_id.clone(),
-                            src: event.src.clone(),
-                            dst: event.dst.clone(),
-                            call: "(request not observed)".to_string(),
-                            start_us: event.timestamp_us,
-                            latency_us: Some(*latency_us),
-                            status: Some(*status),
-                            fault: event.fault.clone(),
-                            agent: event.agent.clone(),
-                        });
-                    }
-                }
-            }
+            spans.push(PairedSpan {
+                first: event,
+                response: None,
+            });
+            continue;
+        }
+        let slot = match &event.span_id {
+            Some(span) => open.remove(span),
+            None => pending
+                .iter()
+                .position(|&index| {
+                    spans[index].first.src == event.src && spans[index].first.dst == event.dst
+                })
+                .map(|position| pending.remove(position)),
+        };
+        match slot {
+            Some(index) => spans[index].response = Some(event),
+            // A response with no recorded request (log loss): surface
+            // it rather than dropping it.
+            None => spans.push(PairedSpan {
+                first: event,
+                response: Some(event),
+            }),
         }
     }
-    records.sort_by(|a, b| a.start_us.cmp(&b.start_us));
-    records
+    spans.sort_by_key(|span| span.first.timestamp_us);
+    spans
 }
 
-/// Queries `store` for the flow `request_id` and assembles its span
+/// Pairs the time-sorted events of one request ID into span records,
+/// in start order; see [`span_keys`] for the same spans without the
+/// copies.
+pub fn assemble_spans<E: Borrow<Event>>(request_id: &str, events: &[E]) -> Vec<SpanRecord> {
+    pair_spans(events)
+        .iter()
+        .map(|span| span.record(request_id))
+        .collect()
+}
+
+/// The spans [`assemble_spans`] would build from `events`, in the same
+/// order, as keys borrowed from the events: no record, string or event
+/// is copied.
+pub fn span_keys<E: Borrow<Event>>(events: &[E]) -> Vec<SpanKey<'_>> {
+    pair_spans(events).iter().map(PairedSpan::key).collect()
+}
+
+/// Reads the flow `request_id` from `store` and assembles its span
 /// records.
 pub fn spans_from_store(store: &EventStore, request_id: &str) -> Vec<SpanRecord> {
-    let events = store.query(&Query::new().with_id_pattern(Pattern::Exact(request_id.to_string())));
-    assemble_spans(request_id, &events)
+    store.read(&Query::new().with_request_id(request_id), |events| {
+        assemble_spans(request_id, events)
+    })
 }
 
 // ---------------------------------------------------------------------------

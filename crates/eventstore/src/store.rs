@@ -181,29 +181,74 @@ impl ShardInner {
         }
     }
 
-    /// Candidate indices for an id-pattern fast path, or `None` when
-    /// the pattern cannot use the index.
-    fn id_candidates(&self, pattern: &Pattern) -> Option<Vec<usize>> {
-        match pattern {
-            Pattern::Exact(id) => Some(self.ids.get(id.as_str()).cloned().unwrap_or_default()),
-            Pattern::Prefix(prefix) => {
-                let mut indices = Vec::new();
+    /// Pushes every event of this shard that satisfies `query` onto
+    /// `out`, in no particular order.
+    ///
+    /// This is the store's only index selection. A query naming both
+    /// ends of an edge reads the edge index — unless it also names one
+    /// exact request ID whose flow is shorter than the edge's list, in
+    /// which case the request-ID index is the narrower one. Without an
+    /// edge, an exact ID looks the flow up and a prefix range-scans
+    /// the (sorted) ID index; everything else scans the shard.
+    fn gather<'a>(
+        &'a self,
+        query: &Query,
+        edge: Option<&(Name, Name)>,
+        out: &mut Vec<&'a StoredEvent>,
+    ) {
+        let slots_of = |slots: Option<&'a Vec<usize>>| slots.map_or(&[][..], Vec::as_slice);
+        let on_edge = edge.map(|key| slots_of(self.edges.get(key)));
+        let of_flow = match &query.id_pattern {
+            Some(Pattern::Exact(id)) => Some(slots_of(self.ids.get(id.as_str()))),
+            _ => None,
+        };
+        match (on_edge, of_flow, &query.id_pattern) {
+            (Some(edge), Some(flow), _) if flow.len() < edge.len() => {
+                self.keep(flow, |event| query.matches(event), out);
+            }
+            // The edge index already fixed src and dst.
+            (Some(edge), _, _) => self.keep(edge, |event| query.matches_unindexed(event), out),
+            (None, Some(flow), _) => self.keep(flow, |event| query.matches(event), out),
+            (None, None, Some(Pattern::Prefix(prefix))) => {
+                let from = std::ops::Bound::Included(prefix.as_str());
                 for (_, slots) in self
                     .ids
-                    .range::<str, _>((
-                        std::ops::Bound::Included(prefix.as_str()),
-                        std::ops::Bound::Unbounded,
-                    ))
+                    .range::<str, _>((from, std::ops::Bound::Unbounded))
                     .take_while(|(id, _)| id.starts_with(prefix.as_str()))
                 {
-                    indices.extend_from_slice(slots);
+                    self.keep(slots, |event| query.matches(event), out);
                 }
-                indices.sort_unstable();
-                Some(indices)
             }
-            Pattern::Any | Pattern::Glob(_) => None,
+            (None, None, _) => out.extend(
+                self.events
+                    .iter()
+                    .filter(|stored| query.matches(&stored.event)),
+            ),
         }
     }
+
+    /// Pushes the events in `slots` that satisfy `matches` onto `out`.
+    fn keep<'a>(
+        &'a self,
+        slots: &[usize],
+        matches: impl Fn(&Event) -> bool,
+        out: &mut Vec<&'a StoredEvent>,
+    ) {
+        out.extend(
+            slots
+                .iter()
+                .map(|&slot| &self.events[slot])
+                .filter(|stored| matches(&stored.event)),
+        );
+    }
+}
+
+/// Puts `matched` in the store's result order — timestamp, then
+/// insertion sequence, which is what a stable sort by timestamp over
+/// one insertion-ordered vector would give — and returns the events.
+fn in_log_order<'a>(matched: &mut [&'a StoredEvent]) -> Vec<&'a Event> {
+    matched.sort_unstable_by_key(|stored| (stored.event.timestamp_us, stored.seq));
+    matched.iter().map(|stored| &stored.event).collect()
 }
 
 fn default_shards() -> usize {
@@ -382,109 +427,113 @@ impl EventStore {
         removed
     }
 
-    /// Returns every stored event sorted by timestamp (insertion order
-    /// on ties).
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut all: Vec<StoredEvent> = Vec::with_capacity(self.len());
-        for shard in self.shards.iter() {
-            all.extend(shard.inner.read().events.iter().cloned());
-        }
-        all.sort_unstable_by_key(|stored| (stored.event.timestamp_us, stored.seq));
-        all.into_iter().map(|stored| stored.event).collect()
-    }
-
-    /// Runs `query`, returning matching events sorted by timestamp
-    /// (insertion order on ties).
+    /// Runs `query` and hands the matching events to `visit`, borrowed
+    /// from the store and sorted by timestamp (insertion order on
+    /// ties) — the read primitive every query method is built on.
     ///
-    /// When the query names both a source and destination, each
-    /// shard's edge index narrows the scan; otherwise the request-ID
-    /// index is tried before falling back to a full scan. Matches from
-    /// all shards are merged by `(timestamp, insertion sequence)`.
-    pub fn query(&self, query: &Query) -> Vec<Event> {
+    /// Every shard's read lock is taken, in shard order, before the
+    /// first event is looked at and held until `visit` returns, so the
+    /// slice is one consistent view of the log and nothing is copied
+    /// that `visit` does not copy itself. Which index narrows the scan
+    /// is decided per shard by the query's shape: the `(src, dst)`
+    /// edge index, the request-ID index (exact IDs and prefixes), or a
+    /// scan.
+    ///
+    /// **`visit` must not write to or re-enter the store.** A write
+    /// (`record_event`, `clear`, …) waits for the read locks `visit`
+    /// is running under and never returns; a nested read can wait
+    /// behind a writer that is itself waiting for those locks.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gremlin_store::{Event, EventStore, Query};
+    ///
+    /// let store = EventStore::new();
+    /// store.record_event(Event::request("a", "b", "GET", "/x").with_timestamp(2));
+    /// store.record_event(Event::request("a", "b", "GET", "/y").with_timestamp(1));
+    /// let first = store.read(&Query::edge("a", "b"), |events| events[0].timestamp_us);
+    /// assert_eq!(first, 1);
+    /// ```
+    pub fn read<R>(&self, query: &Query, visit: impl FnOnce(&[&Event]) -> R) -> R {
         let started = Instant::now();
-        let mut matched = self.collect_matches(query);
-        matched.sort_unstable_by_key(|stored| (stored.event.timestamp_us, stored.seq));
-        let result: Vec<Event> = matched.into_iter().map(|stored| stored.event).collect();
-        if let Some(telemetry) = self.telemetry.read().as_ref() {
-            telemetry.query_seconds.record(started.elapsed());
+        let edge: Option<(Name, Name)> = match (&query.src, &query.dst) {
+            (Some(src), Some(dst)) => Some((Name::from(src.as_str()), Name::from(dst.as_str()))),
+            _ => None,
+        };
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.inner.read()).collect();
+        let mut matched: Vec<&StoredEvent> = Vec::new();
+        for shard in &shards {
+            shard.gather(query, edge.as_ref(), &mut matched);
         }
+        let result = visit(&in_log_order(&mut matched));
+        drop(shards);
+        self.record_query(started);
         result
     }
 
-    fn collect_matches(&self, query: &Query) -> Vec<StoredEvent> {
-        let mut matched: Vec<StoredEvent> = Vec::new();
-        let edge_key: Option<(Name, Name)> = match (&query.src, &query.dst) {
-            (Some(src), Some(dst)) => Some((Name::from(src.as_str()), Name::from(dst.as_str()))),
-            _ => None,
-        };
-        for shard in self.shards.iter() {
-            let inner = shard.inner.read();
-            match &edge_key {
-                Some(key) => {
-                    if let Some(indices) = inner.edges.get(key) {
-                        matched.extend(
-                            indices
-                                .iter()
-                                .map(|&i| &inner.events[i])
-                                .filter(|stored| query.matches_unindexed(&stored.event))
-                                .cloned(),
-                        );
-                    }
-                }
-                None => {
-                    // No edge filter: try the request-ID index before
-                    // falling back to a full scan.
-                    let candidates = query
-                        .id_pattern
-                        .as_ref()
-                        .and_then(|pattern| inner.id_candidates(pattern));
-                    match candidates {
-                        Some(indices) => matched.extend(
-                            indices
-                                .iter()
-                                .map(|&i| &inner.events[i])
-                                .filter(|stored| query.matches(&stored.event))
-                                .cloned(),
-                        ),
-                        None => matched.extend(
-                            inner
-                                .events
-                                .iter()
-                                .filter(|stored| query.matches(&stored.event))
-                                .cloned(),
-                        ),
-                    }
+    /// Hands every flow — the events carrying one request ID — to
+    /// `visit`, in request-ID order, each as [`EventStore::read`] would
+    /// return it for that exact ID: borrowed, sorted by timestamp
+    /// (insertion order on ties). Events without a request ID belong
+    /// to no flow.
+    ///
+    /// All flows are read under one set of shard read locks, so they
+    /// are mutually consistent, and the per-shard request-ID index is
+    /// walked once instead of being looked up per flow. The rule of
+    /// [`EventStore::read`] applies: `visit` must not write to or
+    /// re-enter the store.
+    pub fn for_each_flow(&self, mut visit: impl FnMut(&Name, &[&Event])) {
+        let started = Instant::now();
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.inner.read()).collect();
+        // Each shard's ID index is sorted: merge them, lowest ID first.
+        let mut cursors: Vec<_> = shards
+            .iter()
+            .map(|shard| shard.ids.iter().peekable())
+            .collect();
+        let mut flow: Vec<&StoredEvent> = Vec::new();
+        while let Some(id) = cursors
+            .iter_mut()
+            .filter_map(|cursor| cursor.peek().map(|(id, _)| *id))
+            .min()
+        {
+            flow.clear();
+            for (shard, cursor) in shards.iter().zip(&mut cursors) {
+                if let Some((_, slots)) = cursor.next_if(|(candidate, _)| *candidate == id) {
+                    flow.extend(slots.iter().map(|&slot| &shard.events[slot]));
                 }
             }
+            visit(id, &in_log_order(&mut flow));
         }
-        matched
+        drop(cursors);
+        drop(shards);
+        self.record_query(started);
     }
 
-    /// Counts matching events without materializing them.
-    pub fn count(&self, query: &Query) -> usize {
-        let edge_key: Option<(Name, Name)> = match (&query.src, &query.dst) {
-            (Some(src), Some(dst)) => Some((Name::from(src.as_str()), Name::from(dst.as_str()))),
-            _ => None,
-        };
-        let mut total = 0;
-        for shard in self.shards.iter() {
-            let inner = shard.inner.read();
-            total += match &edge_key {
-                Some(key) => match inner.edges.get(key) {
-                    Some(indices) => indices
-                        .iter()
-                        .filter(|&&i| query.matches_unindexed(&inner.events[i].event))
-                        .count(),
-                    None => 0,
-                },
-                None => inner
-                    .events
-                    .iter()
-                    .filter(|stored| query.matches(&stored.event))
-                    .count(),
-            };
+    fn record_query(&self, started: Instant) {
+        if let Some(telemetry) = self.telemetry.read().as_ref() {
+            telemetry.query_seconds.record(started.elapsed());
         }
-        total
+    }
+
+    /// Returns every stored event sorted by timestamp (insertion order
+    /// on ties).
+    pub fn snapshot(&self) -> Vec<Event> {
+        self.query(&Query::new())
+    }
+
+    /// Runs `query`, returning copies of the matching events sorted by
+    /// timestamp (insertion order on ties). See [`EventStore::read`]
+    /// for how the scan is narrowed, and for reading without copying.
+    pub fn query(&self, query: &Query) -> Vec<Event> {
+        self.read(query, |events| {
+            events.iter().map(|&event| event.clone()).collect()
+        })
+    }
+
+    /// Counts matching events without copying them.
+    pub fn count(&self, query: &Query) -> usize {
+        self.read(query, |events| events.len())
     }
 
     /// The timestamp of the earliest stored event, if any.
@@ -555,11 +604,7 @@ impl EventStore {
     /// Every distinct request ID seen in the store, sorted.
     pub fn request_ids(&self) -> Vec<Name> {
         let mut ids: Vec<Name> = Vec::new();
-        for shard in self.shards.iter() {
-            ids.extend(shard.inner.read().ids.keys().cloned());
-        }
-        ids.sort_unstable();
-        ids.dedup();
+        self.for_each_flow(|id, _| ids.push(id.clone()));
         ids
     }
 
@@ -700,6 +745,134 @@ mod tests {
         ] {
             assert_eq!(store.count(&q), store.query(&q).len());
         }
+    }
+
+    /// A log with several flows crossing shared edges, events without
+    /// an ID, and timestamp ties.
+    fn mixed_log() -> Vec<Event> {
+        let mut events = sample_events();
+        for i in 0..24u64 {
+            let (src, dst) = [("a", "b"), ("b", "c"), ("a", "c")][(i % 3) as usize];
+            let mut event = if i % 2 == 0 {
+                Event::request(src, dst, "GET", format!("/{i}"))
+            } else {
+                Event::response(src, dst, 200, Duration::from_millis(1))
+            }
+            .with_timestamp(100 - (i / 2) * 7);
+            if i % 5 != 0 {
+                event = event.with_request_id(format!("test-{}", i % 4));
+            }
+            events.push(event);
+        }
+        events
+    }
+
+    /// `count` goes through the same index selection as `query`: for
+    /// every query shape, on every shard count, the two agree with each
+    /// other and with a scan of the whole log. (`count` used to ignore
+    /// the request-ID index.)
+    #[test]
+    fn count_equals_query_len_whichever_index_answers() {
+        let queries = [
+            // id-only: exact, prefix, glob, missing.
+            Query::new().with_request_id("test-1"),
+            Query::new().with_id_pattern(Pattern::new("test-*")),
+            Query::new().with_id_pattern(Pattern::new("test-?")),
+            Query::new().with_request_id("nope"),
+            // edge + id: the flow is shorter than the edge's list, longer
+            // than it, and absent from it.
+            Query::edge("a", "b").with_request_id("test-2"),
+            Query::edge("b", "c").with_request_id("test-1"),
+            Query::edge("a", "c").with_request_id("test-2"),
+            Query::requests("a", "b").with_id_pattern(Pattern::new("test-*")),
+            // dst-only and src-only: no index applies.
+            Query {
+                dst: Some("c".into()),
+                ..Query::default()
+            },
+            Query {
+                src: Some("a".into()),
+                id_pattern: Some(Pattern::Exact("test-1".into())),
+                ..Query::default()
+            },
+            Query::new().with_time_range(20, 90).with_faulted(false),
+        ];
+        for shards in [1, 2, 7] {
+            let store = EventStore::with_shards(shards);
+            let log = mixed_log();
+            // Half singly, half as a batch: both append paths index.
+            let (singly, batched) = log.split_at(log.len() / 2);
+            for event in singly {
+                store.record_event(event.clone());
+            }
+            store.record_batch(batched.to_vec());
+            let all = store.snapshot();
+            assert_eq!(all.len(), log.len());
+            for query in &queries {
+                let found = store.query(query);
+                let scanned: Vec<&Event> = all.iter().filter(|e| query.matches(e)).collect();
+                assert_eq!(
+                    found.iter().collect::<Vec<_>>(),
+                    scanned,
+                    "shards={shards} query={query:?}"
+                );
+                assert_eq!(store.count(query), found.len(), "shards={shards} {query:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_lends_the_matches_without_copying() {
+        let store = EventStore::with_shards(3);
+        store.extend(sample_events());
+        let times = store.read(&Query::edge("a", "b"), |events| {
+            events.iter().map(|e| e.timestamp_us).collect::<Vec<_>>()
+        });
+        assert_eq!(times, vec![10, 30, 40]);
+        assert_eq!(store.read(&Query::edge("x", "y"), |events| events.len()), 0);
+    }
+
+    #[test]
+    fn for_each_flow_yields_every_flow_as_its_exact_query() {
+        for shards in [1, 2, 7] {
+            let store = EventStore::with_shards(shards);
+            store.extend(mixed_log());
+            let mut seen: Vec<(Name, Vec<Event>)> = Vec::new();
+            store.for_each_flow(|id, events| {
+                seen.push((id.clone(), events.iter().map(|&e| e.clone()).collect()));
+            });
+            let ids: Vec<Name> = seen.iter().map(|(id, _)| id.clone()).collect();
+            assert_eq!(ids, store.request_ids());
+            assert_eq!(ids, ["test-0", "test-1", "test-2", "test-3"]);
+            for (id, events) in &seen {
+                assert_eq!(
+                    events,
+                    &store.query(&Query::new().with_request_id(id.as_str())),
+                    "shards={shards} flow={id}"
+                );
+            }
+        }
+        EventStore::new().for_each_flow(|_, _| panic!("an empty store has no flows"));
+    }
+
+    #[test]
+    fn every_read_wrapper_records_query_latency() {
+        let registry = MetricsRegistry::new();
+        let store = EventStore::with_shards(2);
+        store.enable_telemetry(&registry);
+        store.extend(sample_events());
+        let _ = store.query(&Query::edge("a", "b"));
+        let _ = store.count(&Query::new().with_request_id("test-1"));
+        let _ = store.snapshot();
+        let _ = store.request_ids();
+        store.read(&Query::new(), |_| ());
+        store.for_each_flow(|_, _| ());
+        let recorded = registry
+            .snapshot()
+            .histogram("gremlin_store_query_seconds", &[])
+            .unwrap()
+            .count();
+        assert_eq!(recorded, 6);
     }
 
     #[test]

@@ -185,6 +185,60 @@ proptest! {
         prop_assert_eq!(index_ts, naive_ts);
     }
 
+    /// Every read wrapper answers from the same index selection:
+    /// whichever index a query's shape picks (request ID, edge, edge
+    /// narrowed by an exact ID, or none for a dst-only query), on any
+    /// shard count, `count` equals `query().len()` equals a scan of the
+    /// log — and the flow visitor yields each flow exactly as
+    /// `query(Exact id)` returns it. Mirrors the seeded differential
+    /// test in `crates/core/tests/trace_differential.rs`.
+    #[test]
+    fn read_wrappers_agree_on_every_shard_count(
+        specs in proptest::collection::vec(event_spec_strategy(), 0..60),
+        shard_choice in 0usize..3,
+        src in 0u8..3,
+        dst in 0u8..3,
+        target_id in 0u8..4,
+    ) {
+        let store = EventStore::with_shards([1, 2, 7][shard_choice]);
+        let events: Vec<Event> = specs.iter().map(materialize).collect();
+        store.extend(events.clone());
+
+        let exact = Pattern::Exact(format!("test-{target_id}"));
+        let queries = [
+            Query { id_pattern: Some(exact.clone()), ..Query::default() },
+            Query { id_pattern: Some(Pattern::new("test-*")), ..Query::default() },
+            Query::edge(format!("svc-{src}"), format!("svc-{dst}")).with_id_pattern(exact),
+            Query { dst: Some(format!("svc-{dst}")), ..Query::default() },
+        ];
+        for query in &queries {
+            let found = store.query(query);
+            let mut naive: Vec<u64> = events
+                .iter()
+                .filter(|e| query.matches(e))
+                .map(|e| e.timestamp_us)
+                .collect();
+            naive.sort_unstable();
+            let found_ts: Vec<u64> = found.iter().map(|e| e.timestamp_us).collect();
+            prop_assert_eq!(found_ts, naive, "query={:?}", query);
+            prop_assert_eq!(store.count(query), found.len(), "query={:?}", query);
+            let lent = store.read(query, |events| events.len());
+            prop_assert_eq!(lent, found.len(), "query={:?}", query);
+        }
+
+        let mut flows: Vec<(String, Vec<Event>)> = Vec::new();
+        store.for_each_flow(|id, events| {
+            flows.push((id.to_string(), events.iter().map(|&e| e.clone()).collect()));
+        });
+        let ids: Vec<String> = store.request_ids().iter().map(|id| id.to_string()).collect();
+        let visited: Vec<String> = flows.iter().map(|(id, _)| id.clone()).collect();
+        prop_assert_eq!(visited, ids);
+        for (id, events) in &flows {
+            let by_query = store.query(&Query::new().with_request_id(id.as_str()));
+            prop_assert_eq!(events, &by_query, "flow={}", id);
+        }
+    }
+
     /// JSON export/import preserves the full event set.
     #[test]
     fn json_round_trip_preserves_events(

@@ -57,8 +57,10 @@ impl From<StreamingBody> for Reply {
 pub struct StreamingBody {
     status: StatusCode,
     headers: crate::headers::HeaderMap,
-    producer: Box<dyn FnOnce(&mut ChunkSink<'_>) -> std::io::Result<()> + Send>,
+    producer: Producer,
 }
+
+type Producer = Box<dyn FnOnce(&mut ChunkSink<'_>) -> std::io::Result<()> + Send>;
 
 impl StreamingBody {
     /// Creates a streaming reply with the given status; `producer` is

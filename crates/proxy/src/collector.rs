@@ -683,7 +683,7 @@ fn tail_reply(
                 // Periodic blank heartbeat line: readers skip it, and
                 // the write fails fast once the client is gone or the
                 // server shuts down, unblocking this producer.
-                if idle_polls % 40 == 0 {
+                if idle_polls.is_multiple_of(40) {
                     sink.send(b"\n")?;
                 }
                 continue;
@@ -721,7 +721,7 @@ fn alerts_reply(monitor: &Arc<dyn MonitorSource>, metrics: &Arc<CollectorMetrics
             if lines.is_empty() {
                 thread::sleep(Duration::from_millis(25));
                 idle_polls += 1;
-                if idle_polls % 40 == 0 {
+                if idle_polls.is_multiple_of(40) {
                     sink.send(b"\n")?;
                 }
                 continue;

@@ -333,9 +333,7 @@ impl RuleTable {
                     }
                 }
             }
-            let Some((_, list_idx)) = best else {
-                return None;
-            };
+            let (_, list_idx) = best?;
             let entry = &lists[list_idx][cursor[list_idx]];
             cursor[list_idx] += 1;
             // Bucketed entries already matched on (src, dst, side); the

@@ -150,7 +150,7 @@ fn control_server_with_store_serves_traces() {
     let agent = Arc::new(
         GremlinAgent::start(
             AgentConfig::new("serviceA").route("serviceB", vec![backend.local_addr()]),
-            Arc::clone(&store),
+            store.clone(),
         )
         .unwrap(),
     );

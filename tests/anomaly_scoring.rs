@@ -144,7 +144,7 @@ fn delay_flags_only_the_faulted_edge_and_replays_from_disk() {
     // injected delay later).
     let start = Instant::now();
     let mut tick = 0u32;
-    let mut send_one = |tick: u32| {
+    let send_one = |tick: u32| {
         let target = start + TICK * tick;
         std::thread::sleep(target.saturating_duration_since(Instant::now()));
         let response = client

@@ -186,7 +186,7 @@ fn tracing_can_be_disabled_per_agent() {
             AgentConfig::new("web")
                 .route("db", vec![backend.local_addr()])
                 .tracing(false),
-            Arc::clone(&store),
+            store.clone(),
         )
         .unwrap(),
     );
