@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gremlin_core::{
-    AnomalyConfig, AppGraph, CampaignRecipe, CampaignRunner, FailureOrchestrator, MonitorSpec,
+    AnomalyConfig, AppGraph, CampaignDispatcher, CampaignRecipe, FailureOrchestrator, MonitorSpec,
     Scenario, TestContext,
 };
 use gremlin_proxy::{AgentControl, ProxyError, Rule};
@@ -140,7 +140,7 @@ fn measure_campaign() -> Result<serde_json::Value, Box<dyn Error>> {
         fleet(&pairs, agent_latency),
         EventStore::shared(),
     );
-    let serial = CampaignRunner::new(&ctx)
+    let serial = CampaignDispatcher::single_host(ctx, None)
         .max_in_flight(1)
         .run(campaign_recipes(&pairs))?;
     assert!(serial.passed(), "serial campaign must pass:\n{serial}");
@@ -150,7 +150,7 @@ fn measure_campaign() -> Result<serde_json::Value, Box<dyn Error>> {
         fleet(&pairs, agent_latency),
         EventStore::shared(),
     );
-    let parallel = CampaignRunner::new(&ctx)
+    let parallel = CampaignDispatcher::single_host(ctx, None)
         .max_in_flight(RECIPES)
         .run(campaign_recipes(&pairs))?;
     assert!(
@@ -233,9 +233,7 @@ fn measure_baseline_reuse(events: usize) -> Result<serde_json::Value, Box<dyn Er
         let pairs = pairs.clone();
         std::thread::spawn(move || feed_traffic(&store, &pairs, events))
     };
-    let fresh = CampaignRunner::new(&ctx)
-        .flight_root(&root)
-        .run(monitored(&pairs))?;
+    let fresh = CampaignDispatcher::single_host(ctx, Some(root.clone())).run(monitored(&pairs))?;
     feeder.join().expect("feeder thread");
     let persisted = gremlin_core::load_baselines(&root)?;
     assert!(!persisted.is_empty(), "fresh campaign must learn baselines");
@@ -246,7 +244,7 @@ fn measure_baseline_reuse(events: usize) -> Result<serde_json::Value, Box<dyn Er
         fleet(&pairs, Duration::from_millis(2)),
         EventStore::shared(),
     );
-    let seeded = CampaignRunner::new(&ctx)
+    let seeded = CampaignDispatcher::single_host(ctx, None)
         .seed(persisted.clone())
         .run(monitored(&pairs))?;
     let verdicts_match = fresh.passed() == seeded.passed();

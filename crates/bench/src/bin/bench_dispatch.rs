@@ -6,7 +6,8 @@
 //! section, and CI's `distributed-smoke` job gates on them:
 //!
 //! 1. **Shard speedup** — an 8-recipe campaign over pairwise disjoint
-//!    fault edges, once on a single host with `max_in_flight = 2` and
+//!    fault edges, once on a single host (one in-process operator, the
+//!    same dispatcher) with `max_in_flight = 2` and
 //!    once sharded across 2 operators each running `max_in_flight = 2`
 //!    (double the effective wave width). CI gates on the wall-clock
 //!    speedup staying >= 1.5x.
@@ -31,9 +32,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gremlin_core::{
-    AppGraph, CampaignDispatcher, CampaignRecipe, CampaignReport, CampaignRunner, CoverageLedger,
-    HttpOperator, OperatorServer, OperatorTransport, Scenario, TestContext, WaveRequest,
-    WaveResponse,
+    AppGraph, CampaignDispatcher, CampaignRecipe, CampaignReport, CoverageLedger, HttpOperator,
+    OperatorServer, OperatorTransport, Scenario, TestContext, WaveRequest, WaveResponse,
 };
 use gremlin_proxy::{AgentControl, ProxyError, Rule};
 use gremlin_store::EventStore;
@@ -186,10 +186,8 @@ impl OperatorTransport for KillableOperator {
 fn main() -> Result<(), Box<dyn Error>> {
     // (1) Single-host reference run.
     let single_root = temp_root("single");
-    let ctx = fleet_ctx();
-    let single = CampaignRunner::new(&ctx)
+    let single = CampaignDispatcher::single_host(fleet_ctx(), Some(single_root.clone()))
         .max_in_flight(MAX_IN_FLIGHT)
-        .flight_root(&single_root)
         .run(recipes())?;
     assert!(single.passed(), "single-host campaign must pass:\n{single}");
 

@@ -1,11 +1,13 @@
-//! Campaign executor: many recipes, one mesh, concurrent waves.
+//! Campaigns: many recipes, one mesh, concurrent waves.
 //!
 //! Gremlin's value is *systematic* testing — sweeping a whole set of
 //! failure scenarios over the dependency graph — but running each
 //! recipe back-to-back pays the full wall-clock sum even when the
-//! recipes touch disjoint parts of the mesh. The [`CampaignRunner`]
-//! exploits the observation (FastFI-style) that fault injections on
-//! non-interfering fault sites can run concurrently:
+//! recipes touch disjoint parts of the mesh. A campaign exploits the
+//! observation (FastFI-style) that fault injections on non-interfering
+//! fault sites can run concurrently. This module holds what does not
+//! depend on *where* a recipe runs; the one loop driving it is
+//! [`CampaignDispatcher::run`](crate::dispatch::CampaignDispatcher::run):
 //!
 //! 1. Each [`CampaignRecipe`]'s **fault-edge footprint** is computed
 //!    up front: the `(src, dst)` edges its scenarios translate to
@@ -19,9 +21,9 @@
 //!    always land in different waves — the deterministic serial
 //!    fallback.
 //! 3. Waves execute in order; recipes inside a wave run on scoped
-//!    threads against the same mesh, each with its own monitor and
-//!    flight recording. Staged faults are cleared at every wave
-//!    boundary.
+//!    threads against the same mesh ([`execute_recipe`]), each with
+//!    its own monitor and flight recording. Staged faults are cleared
+//!    at every wave boundary.
 //!
 //! The emitted [`CampaignReport`] aggregates the per-recipe
 //! [`RecipeReport`]s with the campaign's wall clock vs. the
@@ -29,9 +31,10 @@
 //!
 //! # Baseline reuse
 //!
-//! A campaign with a [`CampaignRunner::seed`] snapshot hands prior
-//! [`EdgeBaseline`]s to every monitored recipe, so anomaly scorers
-//! skip their warmup windows entirely (see
+//! A campaign with a
+//! [`seed`](crate::dispatch::CampaignDispatcher::seed) snapshot hands
+//! prior [`EdgeBaseline`]s to every monitored recipe, so anomaly
+//! scorers skip their warmup windows entirely (see
 //! [`AnomalyScorer::seed`](crate::AnomalyScorer::seed)); freshly
 //! learned baselines are merged and persisted as `baselines.json`
 //! under the campaign's flight root for the *next* campaign. Warmup
@@ -52,19 +55,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use gremlin_store::{now_micros, EdgeBaseline, Micros};
 
 use crate::error::CoreError;
 use crate::graph::AppGraph;
-use crate::ledger::{
-    append_campaign_entries, cells_for_scenario, CellKey, CoverageLedger, LedgerEntry, RunOutcome,
-};
+use crate::ledger::{cells_for_scenario, CellKey, CoverageLedger, LedgerEntry, RunOutcome};
 use crate::monitor::{MonitorSpec, StreamingAssertion};
 use crate::recipe::{RecipeReport, RecipeRun, TestContext};
 use crate::scenarios::Scenario;
@@ -181,7 +180,8 @@ pub struct CampaignSpec {
 pub const DEFAULT_MAX_IN_FLIGHT: usize = 4;
 
 /// Ledger flakiness at or above which a cell counts as flaky for
-/// steered wave ordering (see [`CampaignRunner::steer_order`]).
+/// steered wave ordering (see
+/// [`CampaignDispatcher::steer_order`](crate::dispatch::CampaignDispatcher::steer_order)).
 pub const STEER_FLAKY_THRESHOLD: f64 = 0.25;
 
 /// Packs recipe indices into execution waves: greedy first-fit in
@@ -239,10 +239,9 @@ pub(crate) fn steer_priority(
 
 /// What one recipe execution yielded, beyond its report.
 ///
-/// This is the unit of work a distributed-campaign operator streams
-/// back to the coordinating host (see [`crate::dispatch`]), so it is
-/// fully serializable: the coordinator merges remote outcomes through
-/// the same aggregation path the single-host runner uses.
+/// This is the unit of work an operator hands back to the coordinator
+/// (see [`crate::dispatch`]) — across a network hop when the operator
+/// is remote, so it is fully serializable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecipeOutcome {
     /// The recipe's complete report (checks, live verdicts, anomaly
@@ -283,8 +282,7 @@ impl RecipeOutcome {
 /// the scenarios, hold the faults while polling for violations, and
 /// finish. Inject and driver failures become failed checks in the
 /// recipe's report, not panics — a broken recipe fails itself, never
-/// its campaign. Shared by [`CampaignRunner`] and distributed operator
-/// workers ([`crate::dispatch::OperatorServer`]).
+/// its campaign.
 pub fn execute_recipe(
     ctx: &TestContext,
     recipe: &CampaignRecipe,
@@ -357,45 +355,41 @@ pub fn execute_recipe(
     }
 }
 
-/// Runs a footprint-disjoint batch of recipes concurrently on scoped
-/// threads (a single-recipe batch runs inline), returning outcomes
-/// aligned with `recipes`. The caller owns the wave-boundary fault
-/// clear.
+/// Runs `work` over every item concurrently on scoped threads (a
+/// single item runs inline), returning results aligned with `items`.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if let [only] = items {
+        return vec![work(only)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|item| scope.spawn(move || work(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
+/// Runs a footprint-disjoint batch of recipes concurrently, returning
+/// outcomes aligned with `recipes`. The caller owns the wave-boundary
+/// fault clear.
 pub(crate) fn execute_wave(
     ctx: &TestContext,
     recipes: &[CampaignRecipe],
     seed_baselines: &[EdgeBaseline],
     flight_root: Option<&Path>,
 ) -> Vec<RecipeOutcome> {
-    if let [recipe] = recipes {
-        return vec![execute_recipe(ctx, recipe, seed_baselines, flight_root)];
-    }
-    let slots: Vec<Mutex<Option<RecipeOutcome>>> =
-        recipes.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..recipes.len() {
-            scope.spawn(|| {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                *slots[slot].lock() = Some(execute_recipe(
-                    ctx,
-                    &recipes[slot],
-                    seed_baselines,
-                    flight_root,
-                ));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every recipe ran"))
-        .collect()
+    par_map(recipes, |recipe| {
+        execute_recipe(ctx, recipe, seed_baselines, flight_root)
+    })
 }
 
-/// Merges per-recipe outcomes into the final [`CampaignReport`] — the
-/// single aggregation path shared by the single-host runner and the
-/// distributed coordinator, so a merged multi-operator report is
-/// identical in shape and content to a single-host one.
+/// Merges per-recipe outcomes, in campaign input order, into the final
+/// [`CampaignReport`].
 pub(crate) fn assemble_report(
     outcomes: Vec<RecipeOutcome>,
     waves: Vec<Vec<String>>,
@@ -460,216 +454,6 @@ pub(crate) fn persist_merged_baselines(root: &Path, baselines: &[EdgeBaseline]) 
         .and_then(|json| fs::write(root.join("baselines.json"), json));
 }
 
-/// Runs a set of recipes as a campaign: footprint-disjoint recipes
-/// concurrently (waves), colliding ones serially, with optional
-/// flight recording and cross-run baseline reuse.
-///
-/// # Examples
-///
-/// ```no_run
-/// use gremlin_core::campaign::{CampaignRecipe, CampaignRunner};
-/// use gremlin_core::{AppGraph, Scenario, TestContext};
-/// use gremlin_store::EventStore;
-/// use std::time::Duration;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # let agents = Vec::new();
-/// let graph = AppGraph::from_edges(vec![("web", "db"), ("web", "cache")]);
-/// let ctx = TestContext::new(graph, agents, EventStore::shared());
-/// let report = CampaignRunner::new(&ctx)
-///     .max_in_flight(2)
-///     .run(vec![
-///         CampaignRecipe::new("db-crash")
-///             .scenario(Scenario::crash("db"))
-///             .hold(Duration::from_secs(1)),
-///         CampaignRecipe::new("cache-slow")
-///             .scenario(Scenario::delay("web", "cache", Duration::from_millis(80)))
-///             .hold(Duration::from_secs(1)),
-///     ])?;
-/// println!("{report}");
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct CampaignRunner<'a> {
-    ctx: &'a TestContext,
-    max_in_flight: usize,
-    flight_root: Option<PathBuf>,
-    seed_baselines: Vec<EdgeBaseline>,
-    steer_order: bool,
-}
-
-impl<'a> CampaignRunner<'a> {
-    /// Creates a runner over `ctx` with the default wave width and no
-    /// flight recording.
-    pub fn new(ctx: &'a TestContext) -> CampaignRunner<'a> {
-        CampaignRunner {
-            ctx,
-            max_in_flight: DEFAULT_MAX_IN_FLIGHT,
-            flight_root: None,
-            seed_baselines: Vec::new(),
-            steer_order: false,
-        }
-    }
-
-    /// Builder-style: reorders the planned waves by coverage-ledger
-    /// priority before executing. Waves containing a recipe that
-    /// touches an **untested** cell run first, waves touching a
-    /// **flaky** cell (ledger flakiness ≥ [`STEER_FLAKY_THRESHOLD`])
-    /// next, all-stable waves last; ties keep the planner's order.
-    /// Wave *membership* is untouched — only execution order moves —
-    /// so footprint disjointness still holds. Without a readable
-    /// ledger under the flight root every cell counts as untested and
-    /// the order is unchanged.
-    pub fn steer_order(mut self, steer: bool) -> CampaignRunner<'a> {
-        self.steer_order = steer;
-        self
-    }
-
-    /// Builder-style: caps concurrently running recipes per wave
-    /// (minimum 1; 1 reproduces strict serial execution).
-    pub fn max_in_flight(mut self, max_in_flight: usize) -> CampaignRunner<'a> {
-        self.max_in_flight = max_in_flight.max(1);
-        self
-    }
-
-    /// Builder-style: monitored recipes record flight artifacts under
-    /// `root`, and the campaign writes its merged `baselines.json`
-    /// there for the next run to [`CampaignRunner::seed`] from.
-    pub fn flight_root(mut self, root: impl Into<PathBuf>) -> CampaignRunner<'a> {
-        self.flight_root = Some(root.into());
-        self
-    }
-
-    /// Builder-style: seeds every monitored recipe's anomaly scorer
-    /// with baselines from a prior run (typically
-    /// [`load_baselines`](crate::flight::load_baselines) of the last
-    /// campaign's flight root) — seeded edges skip their warmup
-    /// windows. A recipe whose spec carries its own
-    /// `seed_baselines` keeps them.
-    pub fn seed(mut self, baselines: Vec<EdgeBaseline>) -> CampaignRunner<'a> {
-        self.seed_baselines = baselines;
-        self
-    }
-
-    /// Executes the recipes: plans waves from their footprints, runs
-    /// each wave's recipes on scoped threads, clears staged faults at
-    /// every wave boundary, and aggregates the reports.
-    ///
-    /// # Errors
-    ///
-    /// Footprint computation failures (scenario translation) before
-    /// anything runs; agent failures from the wave-boundary clear.
-    /// Failures *inside* a recipe (inject errors, violated
-    /// assertions) fail that recipe's report, not the campaign.
-    pub fn run(&self, recipes: Vec<CampaignRecipe>) -> Result<CampaignReport, CoreError> {
-        let graph = self.ctx.graph();
-        let footprints = recipes
-            .iter()
-            .map(|recipe| recipe.footprint(graph))
-            .collect::<Result<Vec<_>, CoreError>>()?;
-        let mut waves = plan_waves(&footprints, self.max_in_flight);
-
-        // Coverage delta: what the ledger under the flight root had
-        // already covered before this campaign ran. Best-effort — an
-        // unreadable root just means every cell this campaign touches
-        // counts as newly covered.
-        let ledger: Option<CoverageLedger> = self
-            .flight_root
-            .as_ref()
-            .and_then(|root| CoverageLedger::scan_with_telemetry(root, self.ctx.telemetry()).ok());
-        let prior_covered: BTreeSet<CellKey> = ledger
-            .as_ref()
-            .map(CoverageLedger::covered_keys)
-            .unwrap_or_default();
-
-        if self.steer_order {
-            let priorities: Vec<u8> = recipes
-                .iter()
-                .map(|recipe| steer_priority(recipe, ledger.as_ref(), &prior_covered))
-                .collect();
-            waves.sort_by_key(|wave| {
-                wave.iter()
-                    .map(|&index| priorities[index])
-                    .min()
-                    .unwrap_or(u8::MAX)
-            });
-        }
-        let wave_names: Vec<Vec<String>> = waves
-            .iter()
-            .map(|wave| wave.iter().map(|&i| recipes[i].name.clone()).collect())
-            .collect();
-
-        let started = Instant::now();
-        let mut recipes: Vec<Option<CampaignRecipe>> = recipes.into_iter().map(Some).collect();
-        let mut outcomes: Vec<Option<RecipeOutcome>> = Vec::new();
-        outcomes.resize_with(recipes.len(), || None);
-        for (wave_index, wave) in waves.iter().enumerate() {
-            self.ctx.annotate(
-                "wave-begin",
-                &format!(
-                    "wave {}: {}",
-                    wave_index + 1,
-                    wave_names[wave_index].join(", ")
-                ),
-            );
-            let batch: Vec<CampaignRecipe> = wave
-                .iter()
-                .map(|&index| recipes[index].take().expect("each index runs once"))
-                .collect();
-            let wave_outcomes = execute_wave(
-                self.ctx,
-                &batch,
-                &self.seed_baselines,
-                self.flight_root.as_deref(),
-            );
-            // The wave's verdicts are final (every run has finished and
-            // resolved its monitor), so its ledger entries are appended
-            // *now* — after verdict resolution, before the fallible
-            // wave-boundary clear below. A campaign that dies at a wave
-            // boundary keeps every completed wave in `campaigns.jsonl`,
-            // and the ledger never sees a provisional outcome.
-            // Best-effort, like the merged baselines snapshot. Entries
-            // whose flight dir is scanned directly are deduplicated at
-            // read time, so unmonitored (dirless) recipes still land in
-            // the ledger without double-counting recorded ones.
-            if let Some(root) = &self.flight_root {
-                let entries: Vec<LedgerEntry> = wave_outcomes
-                    .iter()
-                    .map(RecipeOutcome::ledger_entry)
-                    .collect();
-                let _ = append_campaign_entries(root, &entries);
-            }
-            for (&index, outcome) in wave.iter().zip(wave_outcomes) {
-                outcomes[index] = Some(outcome);
-            }
-            // Wave boundary: the control channel has no per-rule
-            // removal, so the whole fleet is flushed between waves.
-            self.ctx.clear_faults()?;
-            self.ctx
-                .annotate("wave-end", &format!("wave {}", wave_index + 1));
-        }
-        let wall_clock = started.elapsed();
-
-        let outcomes: Vec<RecipeOutcome> = outcomes
-            .into_iter()
-            .map(|outcome| outcome.expect("every recipe ran"))
-            .collect();
-        let report = assemble_report(
-            outcomes,
-            wave_names,
-            self.steer_order,
-            wall_clock,
-            &self.seed_baselines,
-            &prior_covered,
-        );
-        if let Some(root) = &self.flight_root {
-            persist_merged_baselines(root, &report.baselines);
-        }
-        Ok(report)
-    }
-}
-
 /// The aggregate outcome of a campaign.
 #[derive(Debug)]
 pub struct CampaignReport {
@@ -681,7 +465,7 @@ pub struct CampaignReport {
     /// order (ledger-steered when `steered` is set).
     pub waves: Vec<Vec<String>>,
     /// Whether the wave order was steered by coverage-ledger priority
-    /// ([`CampaignRunner::steer_order`]).
+    /// ([`CampaignDispatcher::steer_order`](crate::dispatch::CampaignDispatcher::steer_order)).
     pub steered: bool,
     /// Campaign wall clock, wave starts to last wave end.
     pub wall_clock: Duration,
@@ -767,66 +551,18 @@ impl fmt::Display for CampaignReport {
 mod tests {
     use super::*;
     use crate::anomaly::AnomalyConfig;
+    use crate::dispatch::CampaignDispatcher;
+    use crate::ledger::append_campaign_entries;
     use crate::monitor::MonitorSpec;
-    use gremlin_proxy::{AgentControl, ProxyError, Rule};
+    use crate::testutil::{ctx_over, fan_ctx, FakeAgent};
     use gremlin_store::EventStore;
     use std::sync::Arc;
-
-    /// In-memory agent recording installed rules.
-    struct FakeAgent {
-        service: String,
-        rules: Mutex<Vec<Rule>>,
-    }
-
-    impl FakeAgent {
-        fn new(service: &str) -> Arc<FakeAgent> {
-            Arc::new(FakeAgent {
-                service: service.to_string(),
-                rules: Mutex::new(Vec::new()),
-            })
-        }
-    }
-
-    impl AgentControl for FakeAgent {
-        fn service_name(&self) -> String {
-            self.service.clone()
-        }
-
-        fn install_rules(&self, rules: &[Rule]) -> Result<(), ProxyError> {
-            self.rules.lock().extend(rules.iter().cloned());
-            Ok(())
-        }
-
-        fn clear_rules(&self) -> Result<(), ProxyError> {
-            self.rules.lock().clear();
-            Ok(())
-        }
-
-        fn list_rules(&self) -> Result<Vec<Rule>, ProxyError> {
-            Ok(self.rules.lock().clone())
-        }
-    }
 
     fn edge_set(edges: &[(&str, &str)]) -> BTreeSet<(String, String)> {
         edges
             .iter()
             .map(|(s, d)| (s.to_string(), d.to_string()))
             .collect()
-    }
-
-    fn fan_ctx(pairs: &[(&str, &str)]) -> (TestContext, Vec<Arc<FakeAgent>>) {
-        let graph = AppGraph::from_edges(pairs.to_vec());
-        let agents: Vec<Arc<FakeAgent>> =
-            pairs.iter().map(|(src, _)| FakeAgent::new(src)).collect();
-        let ctx = TestContext::new(
-            graph,
-            agents
-                .iter()
-                .map(|a| Arc::clone(a) as Arc<dyn AgentControl>)
-                .collect(),
-            EventStore::shared(),
-        );
-        (ctx, agents)
     }
 
     #[test]
@@ -883,7 +619,7 @@ mod tests {
                     .hold(hold)
             })
             .collect();
-        let report = CampaignRunner::new(&ctx)
+        let report = CampaignDispatcher::single_host(ctx, None)
             .max_in_flight(4)
             .run(recipes)
             .unwrap();
@@ -921,7 +657,9 @@ mod tests {
                 .scenario(Scenario::delay("a", "b", Duration::from_millis(10)))
                 .hold(hold),
         ];
-        let report = CampaignRunner::new(&ctx).run(recipes).unwrap();
+        let report = CampaignDispatcher::single_host(ctx, None)
+            .run(recipes)
+            .unwrap();
         assert_eq!(
             report.waves,
             vec![vec!["first".to_string()], vec!["second".to_string()]]
@@ -938,7 +676,7 @@ mod tests {
             Vec::new(),
             EventStore::shared(),
         );
-        let report = CampaignRunner::new(&lonely)
+        let report = CampaignDispatcher::single_host(lonely, None)
             .run(vec![CampaignRecipe::new("no-agent")
                 .scenario(Scenario::abort("a", "b", 503))
                 .hold(Duration::from_millis(10))])
@@ -956,7 +694,7 @@ mod tests {
     #[test]
     fn campaign_translation_error_fails_fast() {
         let (ctx, agents) = fan_ctx(&[("a", "b")]);
-        let err = CampaignRunner::new(&ctx)
+        let err = CampaignDispatcher::single_host(ctx, None)
             .run(vec![
                 CampaignRecipe::new("ghost").scenario(Scenario::abort("nope", "b", 503))
             ])
@@ -1008,8 +746,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         });
-        let first = CampaignRunner::new(&ctx)
-            .flight_root(&root)
+        let first = CampaignDispatcher::single_host(ctx, Some(root.clone()))
             .run(recipes(true))
             .unwrap();
         feeder.join().unwrap();
@@ -1021,7 +758,7 @@ mod tests {
         // Second campaign: seeded from the persisted snapshot, every
         // monitored recipe skips its warmup.
         let (ctx2, _) = fan_ctx(&pairs);
-        let second = CampaignRunner::new(&ctx2)
+        let second = CampaignDispatcher::single_host(ctx2, None)
             .seed(persisted)
             .run(recipes(false))
             .unwrap();
@@ -1032,7 +769,6 @@ mod tests {
     #[test]
     fn campaign_appends_ledger_entries_and_reports_coverage_delta() {
         let pairs = [("w1", "d1")];
-        let (ctx, _) = fan_ctx(&pairs);
         let root =
             std::env::temp_dir().join(format!("gremlin-campaign-ledger-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -1042,8 +778,7 @@ mod tests {
                 .hold(Duration::from_millis(10))
         };
 
-        let first = CampaignRunner::new(&ctx)
-            .flight_root(&root)
+        let first = CampaignDispatcher::single_host(fan_ctx(&pairs).0, Some(root.clone()))
             .run(vec![recipe("first")])
             .unwrap();
         assert_eq!(first.flight_dirs, vec![None], "unmonitored: no flight dir");
@@ -1056,8 +791,7 @@ mod tests {
 
         // Same cell again: the appended entry made it "covered", so
         // the second campaign reports no delta.
-        let second = CampaignRunner::new(&ctx)
-            .flight_root(&root)
+        let second = CampaignDispatcher::single_host(fan_ctx(&pairs).0, Some(root.clone()))
             .run(vec![recipe("second")])
             .unwrap();
         assert!(
@@ -1071,55 +805,20 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// The lines of `campaigns.jsonl` under `root`.
+    fn ledger_entries(root: &Path) -> Vec<LedgerEntry> {
+        let raw = fs::read_to_string(root.join(crate::ledger::CAMPAIGN_LEDGER_FILE)).unwrap();
+        raw.lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect()
+    }
+
     #[test]
     fn aborted_campaign_keeps_completed_wave_entries_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// Agent whose fault-clear starts failing after a budget of
-        /// successful clears — models an operator host dying at a wave
-        /// boundary.
-        struct FlakyClearAgent {
-            service: String,
-            rules: Mutex<Vec<Rule>>,
-            clears_left: AtomicUsize,
-        }
-
-        impl AgentControl for FlakyClearAgent {
-            fn service_name(&self) -> String {
-                self.service.clone()
-            }
-
-            fn install_rules(&self, rules: &[Rule]) -> Result<(), ProxyError> {
-                self.rules.lock().extend(rules.iter().cloned());
-                Ok(())
-            }
-
-            fn clear_rules(&self) -> Result<(), ProxyError> {
-                let left = self.clears_left.load(Ordering::SeqCst);
-                if left == 0 {
-                    return Err(ProxyError::InvalidRule("control channel down".into()));
-                }
-                self.clears_left.store(left - 1, Ordering::SeqCst);
-                self.rules.lock().clear();
-                Ok(())
-            }
-
-            fn list_rules(&self) -> Result<Vec<Rule>, ProxyError> {
-                Ok(self.rules.lock().clone())
-            }
-        }
-
-        let graph = AppGraph::from_edges(vec![("a", "b")]);
-        let agent = Arc::new(FlakyClearAgent {
-            service: "a".to_string(),
-            rules: Mutex::new(Vec::new()),
-            clears_left: AtomicUsize::new(0),
-        });
-        let ctx = TestContext::new(
-            graph,
-            vec![Arc::clone(&agent) as Arc<dyn AgentControl>],
-            EventStore::shared(),
-        );
+        // An agent whose very first fault-clear fails — models an
+        // operator host dying at a wave boundary.
+        let pairs = [("a", "b")];
+        let ctx = ctx_over(&pairs, &[FakeAgent::failing_clears_after("a", 0)]);
         let root =
             std::env::temp_dir().join(format!("gremlin-campaign-abort-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -1129,8 +828,7 @@ mod tests {
         // campaign errors out — but wave 1's verdict was already
         // final, so its ledger entry must survive, exactly once.
         let hold = Duration::from_millis(10);
-        let err = CampaignRunner::new(&ctx)
-            .flight_root(&root)
+        let err = CampaignDispatcher::single_host(ctx, Some(root.clone()))
             .run(vec![
                 CampaignRecipe::new("first")
                     .scenario(Scenario::abort("a", "b", 503))
@@ -1142,21 +840,74 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::AgentFailed { .. }), "{err}");
 
-        let raw = fs::read_to_string(root.join(crate::ledger::CAMPAIGN_LEDGER_FILE)).unwrap();
-        let recorded: Vec<LedgerEntry> = raw
-            .lines()
-            .map(|line| serde_json::from_str(line).unwrap())
-            .collect();
-        assert_eq!(recorded.len(), 1, "{raw}");
+        let recorded = ledger_entries(&root);
+        assert_eq!(recorded.len(), 1, "{recorded:?}");
         assert_eq!(recorded[0].recipe, "first");
         assert_eq!(recorded[0].outcome, RunOutcome::Pass);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
+    fn boundary_clear_failure_after_the_last_wave_fails_the_campaign() {
+        // One clear succeeds (the boundary after wave 1), the next one
+        // — after the last wave — fails. Nothing is left to run, but
+        // the fleet may still carry wave 2's faults, so the campaign
+        // must not report success; both waves stay in the ledger.
+        let pairs = [("a", "b")];
+        let agent = FakeAgent::failing_clears_after("a", 1);
+        let ctx = ctx_over(&pairs, &[Arc::clone(&agent)]);
+        let root =
+            std::env::temp_dir().join(format!("gremlin-campaign-last-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let hold = Duration::from_millis(5);
+        let err = CampaignDispatcher::single_host(ctx, Some(root.clone()))
+            .run(vec![
+                CampaignRecipe::new("first")
+                    .scenario(Scenario::abort("a", "b", 503))
+                    .hold(hold),
+                CampaignRecipe::new("last")
+                    .scenario(Scenario::delay("a", "b", Duration::from_millis(1)))
+                    .hold(hold),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, CoreError::AgentFailed { .. }), "{err}");
+        assert!(!agent.rules.lock().is_empty(), "wave 2's faults leaked");
+        let recorded: Vec<String> = ledger_entries(&root)
+            .into_iter()
+            .map(|entry| entry.recipe)
+            .collect();
+        assert_eq!(recorded, vec!["first", "last"]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn single_host_ledger_scan_counts_into_the_context_registry() {
+        let pairs = [("a", "b")];
+        let root =
+            std::env::temp_dir().join(format!("gremlin-campaign-scan-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let run = || {
+            let (ctx, _) = fan_ctx(&pairs);
+            let registry = Arc::clone(ctx.telemetry());
+            CampaignDispatcher::single_host(ctx, Some(root.clone()))
+                .run(vec![CampaignRecipe::new("r")
+                    .scenario(Scenario::abort("a", "b", 503))
+                    .hold(Duration::from_millis(5))])
+                .unwrap();
+            registry
+                .snapshot()
+                .counter_value("gremlin_ledger_runs_scanned_total", &[])
+        };
+        // The scan runs before the campaign: an empty root first, then
+        // the first campaign's one entry.
+        assert_eq!(run(), Some(0));
+        assert_eq!(run(), Some(1));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn steered_order_runs_untested_then_flaky_then_stable() {
         let pairs = [("a", "b"), ("c", "d"), ("e", "f")];
-        let (ctx, _) = fan_ctx(&pairs);
         let root =
             std::env::temp_dir().join(format!("gremlin-campaign-steer-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -1202,9 +953,8 @@ mod tests {
         };
 
         // Unsteered: planner input order, even with the same ledger.
-        let plain = CampaignRunner::new(&ctx)
+        let plain = CampaignDispatcher::single_host(fan_ctx(&pairs).0, Some(root.clone()))
             .max_in_flight(1)
-            .flight_root(&root)
             .run(recipes())
             .unwrap();
         assert!(!plain.steered);
@@ -1240,9 +990,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let steered = CampaignRunner::new(&ctx)
+        let steered = CampaignDispatcher::single_host(fan_ctx(&pairs).0, Some(root2.clone()))
             .max_in_flight(1)
-            .flight_root(&root2)
             .steer_order(true)
             .run(recipes())
             .unwrap();
@@ -1270,8 +1019,8 @@ mod tests {
 
         let (ctx, _) = fan_ctx(&[("a", "b")]);
         let ctx = ctx.with_timeline(TimeSeriesStore::shared());
-        let timeline = std::sync::Arc::clone(ctx.timeline().unwrap());
-        CampaignRunner::new(&ctx)
+        let timeline = Arc::clone(ctx.timeline().unwrap());
+        CampaignDispatcher::single_host(ctx, None)
             .run(vec![CampaignRecipe::new("annotated")
                 .scenario(Scenario::abort("a", "b", 503))
                 .hold(Duration::from_millis(5))])
@@ -1302,52 +1051,15 @@ mod tests {
         let back: CampaignSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
         // hold, monitor and max_in_flight all default when absent.
-        let mut value = serde_json::to_value(&spec).unwrap();
-        value.as_object_mut().unwrap().remove("max_in_flight");
-        value["recipes"][0].as_object_mut().unwrap().remove("hold");
-        let minimal: CampaignSpec = serde_json::from_value(value).unwrap();
+        let minimal: CampaignSpec = serde_json::from_str(
+            r#"{"recipes": [{"name": "r", "scenarios": [
+                {"kind": {"kind": "crash", "service": "b", "probability": 1.0}}
+            ]}]}"#,
+        )
+        .unwrap();
         assert!(minimal.max_in_flight.is_none());
+        assert_eq!(minimal.recipes[0].scenarios, spec.recipes[0].scenarios);
         assert_eq!(minimal.recipes[0].hold, default_hold());
         assert!(minimal.recipes[0].monitor.is_none());
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn footprint_strategy() -> impl Strategy<Value = BTreeSet<(String, String)>> {
-            // Edges drawn from a tiny universe so collisions are
-            // common.
-            proptest::collection::btree_set(
-                (0..4u8, 0..4u8).prop_map(|(s, d)| (format!("s{s}"), format!("d{d}"))),
-                1..4,
-            )
-        }
-
-        proptest! {
-            #[test]
-            fn waves_never_coschedule_intersecting_footprints(
-                footprints in proptest::collection::vec(footprint_strategy(), 1..12),
-                max_in_flight in 1usize..5,
-            ) {
-                let waves = plan_waves(&footprints, max_in_flight);
-                // Every index exactly once.
-                let mut seen: Vec<usize> = waves.iter().flatten().copied().collect();
-                seen.sort_unstable();
-                prop_assert_eq!(seen, (0..footprints.len()).collect::<Vec<_>>());
-                for wave in &waves {
-                    prop_assert!(wave.len() <= max_in_flight.max(1));
-                    for (i, &a) in wave.iter().enumerate() {
-                        for &b in &wave[i + 1..] {
-                            prop_assert!(
-                                footprints[a].is_disjoint(&footprints[b]),
-                                "wave {:?} co-schedules intersecting footprints {} and {}",
-                                wave, a, b,
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,43 +1,52 @@
-//! Distributed campaign execution: shard waves across operator hosts.
+//! Campaign execution: one wave loop over one or more operators.
 //!
-//! A single [`CampaignRunner`](crate::campaign::CampaignRunner) is
-//! bounded by one host's fan-out. This module distributes a campaign
-//! across several **operator hosts**, each fronting its own slice of
-//! the agent fleet for the same logical application graph:
+//! An **operator** runs wave slices on one host's slice of the agent
+//! fleet, for the same logical application graph. The
+//! [`CampaignDispatcher`] is the only campaign executor: it plans
+//! **shards** with [`plan_shards`] (footprint-disjoint waves, widened
+//! to the whole fleet's capacity, split round-robin across operators),
+//! dispatches each wave's slices concurrently, appends the wave's
+//! ledger entries, flushes the operators' faults at the wave boundary,
+//! and merges the outcomes into one [`CampaignReport`]. How it reaches
+//! an operator is an [`OperatorTransport`]:
 //!
-//! * [`OperatorServer`] — the worker half (`gremlin operator serve`):
-//!   an httpwire control endpoint that accepts a wave of recipes,
-//!   drives them over its local [`TestContext`] with the same
-//!   [`execute_wave`] the single-host runner uses, and streams the
-//!   full [`RecipeOutcome`]s back.
-//! * [`CampaignDispatcher`] — the coordinator half
-//!   (`gremlin campaign --operators ...`): plans **shards** with
-//!   [`plan_shards`] (footprint-disjoint waves, widened to the whole
-//!   fleet's capacity, split round-robin across operators), dispatches
-//!   each wave's slices concurrently, retries transient failures with
-//!   bounded exponential backoff, re-shards a dead operator's slices
-//!   over the survivors, and merges the outcomes through the same
-//!   aggregation path as the single-host runner — the merged
-//!   [`CampaignReport`] is identical in shape and content.
+//! * [`LocalOperator`] — in process, over a [`TestContext`]. A
+//!   single-host campaign ([`CampaignDispatcher::single_host`],
+//!   `gremlin campaign --agents`) is a dispatch to exactly one of
+//!   these; with one operator [`plan_shards`] degenerates to
+//!   [`plan_waves`].
+//! * [`HttpOperator`] — across the network (`gremlin campaign
+//!   --operators`), to an [`OperatorServer`] (`gremlin operator
+//!   serve`) fronting a [`LocalOperator`] on its own host.
 //!
-//! # Failure semantics
+//! # Wave boundaries
+//!
+//! A wave's ledger entries are appended as soon as its verdicts are
+//! final, before anything fallible. Then the coordinator calls
+//! [`OperatorTransport::clear`] on every operator that ran a slice —
+//! the control channel has no per-rule removal, so the whole fleet
+//! slice is flushed. An operator whose flush fails may sit on leaked
+//! faults: it receives no further slices, and its share re-shards to
+//! the survivors. When no operator is left the campaign returns that
+//! flush's own error — after the last wave too.
+//!
+//! # What the network hop adds
 //!
 //! Every wave POST carries an **idempotency token** stable across
-//! retries. An operator caches the response of each completed token,
-//! so a retry after a lost response replays the recorded outcomes
-//! instead of re-running the wave — the coordinator observes
-//! exactly-once wave results per operator. When an operator dies
-//! mid-wave its recipes re-execute on a survivor (at-least-once
-//! against the *mesh*, which is safe: rule install and clear are
-//! idempotent and every attempt is preceded by a fault flush), but the
-//! coordinator accepts exactly one outcome per recipe and appends each
-//! wave's ledger entries exactly once, after the wave's verdicts are
-//! final.
+//! retries, and an [`OperatorServer`] replays the recorded response of
+//! a completed token instead of re-running the wave. The coordinator
+//! retries a failed slice with bounded exponential backoff and, when
+//! the budget runs out, declares the operator dead and re-shards its
+//! recipes over the survivors. Those re-execute (at-least-once against
+//! the *mesh*, which is safe: rule install and clear are idempotent and
+//! every attempt is preceded by a fault flush), but the coordinator
+//! accepts exactly one outcome per recipe and appends each wave's
+//! ledger entries exactly once.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,10 +57,10 @@ use gremlin_http::{
     ClientConfig, ConnInfo, HttpClient, HttpServer, Method, Request, Response, StatusCode,
 };
 use gremlin_store::{now_micros, EdgeBaseline};
-use gremlin_telemetry::TimeSeriesStore;
+use gremlin_telemetry::{MetricsRegistry, TimeSeriesStore};
 
 use crate::campaign::{
-    assemble_report, execute_wave, persist_merged_baselines, plan_waves, steer_priority,
+    assemble_report, execute_wave, par_map, persist_merged_baselines, plan_waves, steer_priority,
     CampaignRecipe, CampaignReport, RecipeOutcome, DEFAULT_MAX_IN_FLIGHT,
 };
 use crate::error::CoreError;
@@ -124,41 +133,12 @@ pub struct OperatorStatus {
     pub waves_cached: u64,
 }
 
-/// Bounded FIFO cache of completed wave responses, keyed by token.
-struct WaveCache {
-    order: VecDeque<String>,
-    map: HashMap<String, WaveResponse>,
-}
-
-impl WaveCache {
-    fn new() -> WaveCache {
-        WaveCache {
-            order: VecDeque::new(),
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&self, token: &str) -> Option<&WaveResponse> {
-        self.map.get(token)
-    }
-
-    fn insert(&mut self, token: String, response: WaveResponse) {
-        if self.map.insert(token.clone(), response).is_none() {
-            self.order.push_back(token);
-            if self.order.len() > WAVE_CACHE_CAPACITY {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.map.remove(&evicted);
-                }
-            }
-        }
-    }
-}
-
+/// What only a network hop needs, in front of a [`LocalOperator`].
 struct OperatorState {
-    name: String,
-    ctx: TestContext,
-    flight_root: Option<PathBuf>,
-    completed: Mutex<WaveCache>,
+    local: LocalOperator,
+    /// Completed waves by token, oldest first, for idempotent retries;
+    /// bounded by [`WAVE_CACHE_CAPACITY`].
+    completed: Mutex<VecDeque<(String, WaveResponse)>>,
     /// Serializes wave execution: concurrent POSTs (a retry racing
     /// the original) run one at a time, and the loser then hits the
     /// idempotency cache.
@@ -171,8 +151,8 @@ impl OperatorState {
     fn status(&self) -> OperatorStatus {
         OperatorStatus {
             schema_version: DISPATCH_SCHEMA_VERSION,
-            name: self.name.clone(),
-            agents: self.ctx.orchestrator().agent_count(),
+            name: self.local.name.clone(),
+            agents: self.local.ctx.orchestrator().agent_count(),
             waves_executed: self.waves_executed.load(Ordering::Relaxed),
             waves_cached: self.waves_cached.load(Ordering::Relaxed),
         }
@@ -180,11 +160,11 @@ impl OperatorState {
 
     fn cached(&self, token: &str) -> Option<WaveResponse> {
         let completed = self.completed.lock();
-        completed.get(token).map(|done| {
-            self.waves_cached.fetch_add(1, Ordering::Relaxed);
-            let mut replay = done.clone();
-            replay.cached = true;
-            replay
+        let (_, done) = completed.iter().find(|(done, _)| done == token)?;
+        self.waves_cached.fetch_add(1, Ordering::Relaxed);
+        Some(WaveResponse {
+            cached: true,
+            ..done.clone()
         })
     }
 
@@ -198,33 +178,25 @@ impl OperatorState {
         if let Some(replay) = self.cached(&wave.token) {
             return replay;
         }
+        let LocalOperator { name, ctx, .. } = &self.local;
         let names: Vec<&str> = wave.recipes.iter().map(|r| r.name.as_str()).collect();
-        self.ctx.annotate(
+        ctx.annotate(
             "wave-begin",
-            &format!("operator {}: {}", self.name, names.join(", ")),
+            &format!("operator {name}: {}", names.join(", ")),
         );
-        let outcomes = execute_wave(
-            &self.ctx,
-            &wave.recipes,
-            &wave.seed_baselines,
-            self.flight_root.as_deref(),
-        );
+        let response = self.local.execute(wave);
         // Defensive wave-boundary flush: a re-sharded or retried wave
         // must start against a fault-free fleet even if the
-        // coordinator never sends `POST /operator/clear`. Best-effort
-        // — the coordinator also clears before every retry.
-        let _ = self.ctx.clear_faults();
-        self.ctx
-            .annotate("wave-end", &format!("operator {}", self.name));
+        // coordinator's `POST /operator/clear` never arrives.
+        // Best-effort — the coordinator's own clear reports failure.
+        let _ = ctx.clear_faults();
+        ctx.annotate("wave-end", &format!("operator {name}"));
         self.waves_executed.fetch_add(1, Ordering::Relaxed);
-        let response = WaveResponse {
-            operator: self.name.clone(),
-            outcomes,
-            cached: false,
-        };
-        self.completed
-            .lock()
-            .insert(wave.token.clone(), response.clone());
+        let mut completed = self.completed.lock();
+        if completed.len() == WAVE_CACHE_CAPACITY {
+            completed.pop_front();
+        }
+        completed.push_back((wave.token.clone(), response.clone()));
         response
     }
 }
@@ -253,7 +225,7 @@ pub struct OperatorServer {
 impl std::fmt::Debug for OperatorServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OperatorServer")
-            .field("name", &self.state.name)
+            .field("name", &self.state.local.name)
             .field("addr", &self.server.local_addr())
             .finish()
     }
@@ -274,10 +246,8 @@ impl OperatorServer {
         flight_root: Option<PathBuf>,
     ) -> Result<OperatorServer, CoreError> {
         let state = Arc::new(OperatorState {
-            name: name.into(),
-            ctx,
-            flight_root,
-            completed: Mutex::new(WaveCache::new()),
+            local: LocalOperator::new(name, ctx, flight_root),
+            completed: Mutex::default(),
             wave_lock: Mutex::new(()),
             waves_executed: AtomicU64::new(0),
             waves_cached: AtomicU64::new(0),
@@ -331,7 +301,7 @@ fn handle_operator(state: &Arc<OperatorState>, request: &Request) -> Response {
             }
             json_response(StatusCode::OK, &state.run_wave(&wave))
         }
-        (Method::Post, "/operator/clear") => match state.ctx.clear_faults() {
+        (Method::Post, "/operator/clear") => match state.local.clear() {
             Ok(()) => Response::builder(StatusCode::NO_CONTENT).build(),
             Err(err) => Response::builder(StatusCode::INTERNAL_SERVER_ERROR)
                 .body(err.to_string())
@@ -353,8 +323,9 @@ fn json_response<T: Serialize>(status: StatusCode, value: &T) -> Response {
     }
 }
 
-/// How a coordinator reaches one operator. [`HttpOperator`] is the
-/// production transport; tests swap in in-process fakes.
+/// How a coordinator reaches one operator: [`LocalOperator`] in
+/// process, [`HttpOperator`] across the network; tests wrap either to
+/// script failures.
 pub trait OperatorTransport: Send + Sync {
     /// The operator's name, for logs and error messages.
     fn name(&self) -> String;
@@ -375,6 +346,61 @@ pub trait OperatorTransport: Send + Sync {
     ///
     /// Transport failures.
     fn clear(&self) -> Result<(), CoreError>;
+}
+
+/// The in-process operator: runs wave slices directly over a
+/// [`TestContext`]. Monitored recipes record flight artifacts under
+/// `flight_root`, when one is given. It adds no timeline annotations
+/// of its own and leaves the wave-boundary flush to its caller — the
+/// coordinator in a single-host campaign, the [`OperatorServer`] in
+/// front of it on an operator host.
+#[derive(Debug)]
+pub struct LocalOperator {
+    name: String,
+    ctx: TestContext,
+    flight_root: Option<PathBuf>,
+}
+
+impl LocalOperator {
+    /// Creates an operator named `name` over `ctx`.
+    pub fn new(
+        name: impl Into<String>,
+        ctx: TestContext,
+        flight_root: Option<PathBuf>,
+    ) -> LocalOperator {
+        LocalOperator {
+            name: name.into(),
+            ctx,
+            flight_root,
+        }
+    }
+
+    fn execute(&self, wave: &WaveRequest) -> WaveResponse {
+        WaveResponse {
+            operator: self.name.clone(),
+            outcomes: execute_wave(
+                &self.ctx,
+                &wave.recipes,
+                &wave.seed_baselines,
+                self.flight_root.as_deref(),
+            ),
+            cached: false,
+        }
+    }
+}
+
+impl OperatorTransport for LocalOperator {
+    fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    fn run_wave(&self, wave: &WaveRequest) -> Result<WaveResponse, CoreError> {
+        Ok(self.execute(wave))
+    }
+
+    fn clear(&self) -> Result<(), CoreError> {
+        self.ctx.clear_faults()
+    }
 }
 
 /// [`OperatorTransport`] over the wire: a client for one
@@ -405,18 +431,13 @@ impl HttpOperator {
             write_timeout: Some(Duration::from_secs(60)),
             ..ClientConfig::default()
         });
-        let response = client
-            .send(addr, Request::get("/operator/status"))
-            .map_err(|err| {
-                CoreError::DispatchFailed(format!("operator {addr} unreachable: {err}"))
-            })?;
-        if !response.status().is_success() {
-            return Err(CoreError::DispatchFailed(format!(
-                "operator {addr} status {}: {}",
-                response.status(),
-                response.body_str()
-            )));
-        }
+        // Named by address until the operator says who it is.
+        let mut operator = HttpOperator {
+            name: addr.to_string(),
+            addr,
+            client,
+        };
+        let response = operator.send(Request::get("/operator/status"), "status")?;
         let status: OperatorStatus = serde_json::from_slice(response.body()).map_err(|err| {
             CoreError::DispatchFailed(format!("operator {addr} sent malformed status: {err}"))
         })?;
@@ -426,16 +447,31 @@ impl HttpOperator {
                 status.schema_version, DISPATCH_SCHEMA_VERSION
             )));
         }
-        Ok(HttpOperator {
-            name: status.name,
-            addr,
-            client,
-        })
+        operator.name = status.name;
+        Ok(operator)
     }
 
     /// The operator endpoint's address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Sends `request`; a transport failure or a non-2xx answer to
+    /// this `what` is a failed attempt.
+    fn send(&self, request: Request, what: &str) -> Result<Response, CoreError> {
+        let response = self.client.send(self.addr, request).map_err(|err| {
+            CoreError::DispatchFailed(format!("operator {} ({}): {err}", self.name, self.addr))
+        })?;
+        if response.status().is_success() {
+            Ok(response)
+        } else {
+            Err(CoreError::DispatchFailed(format!(
+                "operator {} refused {what}: {} {}",
+                self.name,
+                response.status(),
+                response.body_str()
+            )))
+        }
     }
 }
 
@@ -451,17 +487,7 @@ impl OperatorTransport for HttpOperator {
             .header("Content-Type", "application/json")
             .body(body)
             .build();
-        let response = self.client.send(self.addr, request).map_err(|err| {
-            CoreError::DispatchFailed(format!("operator {} ({}): {err}", self.name, self.addr))
-        })?;
-        if !response.status().is_success() {
-            return Err(CoreError::DispatchFailed(format!(
-                "operator {} refused wave: {} {}",
-                self.name,
-                response.status(),
-                response.body_str()
-            )));
-        }
+        let response = self.send(request, "wave")?;
         serde_json::from_slice(response.body()).map_err(|err| {
             CoreError::DispatchFailed(format!(
                 "operator {} sent malformed wave response: {err}",
@@ -471,20 +497,8 @@ impl OperatorTransport for HttpOperator {
     }
 
     fn clear(&self) -> Result<(), CoreError> {
-        let request = Request::post("/operator/clear", "");
-        let response = self.client.send(self.addr, request).map_err(|err| {
-            CoreError::DispatchFailed(format!("operator {} ({}): {err}", self.name, self.addr))
-        })?;
-        if response.status().is_success() {
-            Ok(())
-        } else {
-            Err(CoreError::DispatchFailed(format!(
-                "operator {} refused clear: {} {}",
-                self.name,
-                response.status(),
-                response.body_str()
-            )))
-        }
+        self.send(Request::post("/operator/clear", ""), "clear")
+            .map(drop)
     }
 }
 
@@ -508,13 +522,7 @@ pub fn plan_shards(
     let max_in_flight = max_in_flight.max(1);
     plan_waves(footprints, max_in_flight * operators)
         .into_iter()
-        .map(|wave| {
-            let mut slices: Vec<Vec<usize>> = vec![Vec::new(); operators];
-            for (position, index) in wave.into_iter().enumerate() {
-                slices[position % operators].push(index);
-            }
-            slices
-        })
+        .map(|wave| reassign(&wave, operators, max_in_flight).0)
         .collect()
 }
 
@@ -522,7 +530,7 @@ pub fn plan_shards(
 /// across `survivors` slots, each slice capped at `max_in_flight`.
 /// Returns the per-slot slices and whatever exceeded this round's
 /// capacity (dispatched in a later round).
-pub(crate) fn reassign(
+pub fn reassign(
     pool: &[usize],
     survivors: usize,
     max_in_flight: usize,
@@ -538,32 +546,38 @@ pub(crate) fn reassign(
     (slices, leftover.to_vec())
 }
 
-/// Result of dispatching one slice to one operator.
-type SliceResult = Result<Vec<RecipeOutcome>, CoreError>;
-
-/// The coordinator half of a distributed campaign: shards
-/// footprint-disjoint waves across several [`OperatorTransport`]s,
-/// survives operator deaths, and merges the partial results into one
-/// [`CampaignReport`] with the same shape as a single-host run.
+/// The campaign executor: shards footprint-disjoint waves across its
+/// [`OperatorTransport`]s, survives operator deaths, and merges the
+/// partial results into one [`CampaignReport`] whose shape does not
+/// depend on how many operators ran it.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use gremlin_core::dispatch::{CampaignDispatcher, HttpOperator, OperatorTransport};
-/// use gremlin_core::{AppGraph, CampaignRecipe, Scenario};
+/// use gremlin_core::{
+///     AppGraph, CampaignDispatcher, CampaignRecipe, HttpOperator, OperatorTransport, Scenario,
+///     TestContext,
+/// };
+/// use gremlin_store::EventStore;
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let agents = Vec::new();
 /// let graph = AppGraph::from_edges(vec![("web", "db"), ("web", "cache")]);
-/// let operators: Vec<Arc<dyn OperatorTransport>> = vec![
-///     Arc::new(HttpOperator::connect("10.0.0.1:7070".parse()?)?),
-///     Arc::new(HttpOperator::connect("10.0.0.2:7070".parse()?)?),
+/// let recipes = vec![
+///     CampaignRecipe::new("db-crash").scenario(Scenario::crash("db")),
+///     CampaignRecipe::new("cache-crash").scenario(Scenario::crash("cache")),
 /// ];
-/// let report = CampaignDispatcher::new(graph, operators).run(vec![
-///     CampaignRecipe::new("db-down").scenario(Scenario::crash("db")),
-///     CampaignRecipe::new("cache-down").scenario(Scenario::crash("cache")),
-/// ])?;
+/// // One host: a single in-process operator over the local agents.
+/// let ctx = TestContext::new(graph.clone(), agents, EventStore::shared());
+/// let report = CampaignDispatcher::single_host(ctx, None).run(recipes.clone())?;
 /// println!("{report}");
+/// // The same campaign sharded over two `gremlin operator serve` hosts.
+/// let operators: Vec<Arc<dyn OperatorTransport>> = vec![
+///     Arc::new(HttpOperator::connect("10.0.0.1:7080".parse()?)?),
+///     Arc::new(HttpOperator::connect("10.0.0.2:7080".parse()?)?),
+/// ];
+/// let merged = CampaignDispatcher::new(graph, operators).run(recipes)?;
 /// # Ok(())
 /// # }
 /// ```
@@ -577,6 +591,7 @@ pub struct CampaignDispatcher {
     retries: usize,
     backoff: Duration,
     timeline: Option<Arc<TimeSeriesStore>>,
+    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl std::fmt::Debug for CampaignDispatcher {
@@ -610,11 +625,29 @@ impl CampaignDispatcher {
             retries: DEFAULT_DISPATCH_RETRIES,
             backoff: DEFAULT_DISPATCH_BACKOFF,
             timeline: None,
+            telemetry: None,
         }
     }
 
+    /// Creates the single-host dispatcher: one in-process
+    /// [`LocalOperator`] over `ctx`, with coordinator and operator
+    /// sharing what one process shares — `ctx`'s graph, its timeline
+    /// (wave annotations land between the recipes' own), its metrics
+    /// registry (the ledger scan's `gremlin_ledger_*` counters) and
+    /// `flight_root` (run directories, `campaigns.jsonl` and
+    /// `baselines.json` side by side).
+    pub fn single_host(ctx: TestContext, flight_root: Option<PathBuf>) -> CampaignDispatcher {
+        let mut dispatcher = CampaignDispatcher::new(ctx.graph().clone(), Vec::new());
+        dispatcher.timeline = ctx.timeline().cloned();
+        dispatcher.telemetry = Some(Arc::clone(ctx.telemetry()));
+        dispatcher.flight_root = flight_root.clone();
+        dispatcher.operators = vec![Arc::new(LocalOperator::new("local", ctx, flight_root))];
+        dispatcher
+    }
+
     /// Builder-style: caps concurrently running recipes **per
-    /// operator** (minimum 1). The planner packs waves up to
+    /// operator** (minimum 1; 1 on a single host reproduces strict
+    /// serial execution). The planner packs waves up to
     /// `operators * max_in_flight` wide.
     pub fn max_in_flight(mut self, max_in_flight: usize) -> CampaignDispatcher {
         self.max_in_flight = max_in_flight.max(1);
@@ -624,22 +657,34 @@ impl CampaignDispatcher {
     /// Builder-style: the coordinator-side flight root — the ledger
     /// (`campaigns.jsonl`) is appended here wave by wave, prior
     /// coverage is scanned from here, and the merged `baselines.json`
-    /// is persisted here.
+    /// is persisted here for the next campaign to
+    /// [`seed`](CampaignDispatcher::seed) from.
     pub fn flight_root(mut self, root: impl Into<PathBuf>) -> CampaignDispatcher {
         self.flight_root = Some(root.into());
         self
     }
 
-    /// Builder-style: baselines shipped with every wave to seed
-    /// monitored recipes' anomaly scorers on the operators.
+    /// Builder-style: seeds every monitored recipe's anomaly scorer
+    /// with baselines from a prior run (typically
+    /// [`load_baselines`](crate::flight::load_baselines) of the last
+    /// campaign's flight root), shipped with every wave — seeded edges
+    /// skip their warmup windows. A recipe whose spec carries its own
+    /// `seed_baselines` keeps them.
     pub fn seed(mut self, baselines: Vec<EdgeBaseline>) -> CampaignDispatcher {
         self.seed_baselines = baselines;
         self
     }
 
-    /// Builder-style: reorders waves by coverage-ledger priority
-    /// (untested, then flaky, then stable), exactly like
-    /// [`CampaignRunner::steer_order`](crate::campaign::CampaignRunner::steer_order).
+    /// Builder-style: reorders the planned waves by coverage-ledger
+    /// priority before executing. Waves containing a recipe that
+    /// touches an **untested** cell run first, waves touching a
+    /// **flaky** cell (ledger flakiness ≥
+    /// [`STEER_FLAKY_THRESHOLD`](crate::campaign::STEER_FLAKY_THRESHOLD))
+    /// next, all-stable waves last; ties keep the planner's order.
+    /// Wave *membership* is untouched — only execution order moves —
+    /// so footprint disjointness still holds. Without a readable
+    /// ledger under the flight root every cell counts as untested and
+    /// the order is unchanged.
     pub fn steer_order(mut self, steer: bool) -> CampaignDispatcher {
         self.steer_order = steer;
         self
@@ -661,7 +706,8 @@ impl CampaignDispatcher {
     }
 
     /// Builder-style: attaches a coordinator-side timeline; wave
-    /// begin/end and re-shard events are annotated onto it.
+    /// begin/end, re-shard and operator-death events are annotated
+    /// onto it.
     pub fn timeline(mut self, timeline: Arc<TimeSeriesStore>) -> CampaignDispatcher {
         self.timeline = Some(timeline);
         self
@@ -676,14 +722,18 @@ impl CampaignDispatcher {
     /// Executes the recipes across the operators: plans shards, drives
     /// each wave's slices concurrently, retries and re-shards around
     /// operator failures, appends each completed wave to the ledger,
-    /// and merges everything into one [`CampaignReport`].
+    /// flushes the operators at every wave boundary, and merges
+    /// everything into one [`CampaignReport`].
     ///
     /// # Errors
     ///
-    /// Footprint computation failures before anything runs;
-    /// [`CoreError::DispatchFailed`] when no operator is configured or
-    /// every operator died with recipes still pending. Failures
-    /// *inside* a recipe fail that recipe's report, not the campaign.
+    /// Footprint computation failures (scenario translation) before
+    /// anything runs; [`CoreError::DispatchFailed`] when no operator
+    /// is configured or every operator died with recipes still
+    /// pending; the wave-boundary flush's own error when it fails on
+    /// the last live operator. Failures *inside* a recipe (inject
+    /// errors, violated assertions) fail that recipe's report, not the
+    /// campaign.
     pub fn run(&self, recipes: Vec<CampaignRecipe>) -> Result<CampaignReport, CoreError> {
         if self.operators.is_empty() {
             return Err(CoreError::DispatchFailed(
@@ -696,10 +746,17 @@ impl CampaignDispatcher {
             .collect::<Result<Vec<_>, CoreError>>()?;
         let mut shards = plan_shards(&footprints, self.operators.len(), self.max_in_flight);
 
-        let ledger: Option<CoverageLedger> = self
-            .flight_root
-            .as_ref()
-            .and_then(|root| CoverageLedger::scan(root).ok());
+        // Coverage delta: what the ledger under the flight root had
+        // already covered before this campaign ran. Best-effort — an
+        // unreadable root just means every cell this campaign touches
+        // counts as newly covered.
+        let ledger: Option<CoverageLedger> = self.flight_root.as_ref().and_then(|root| {
+            match &self.telemetry {
+                Some(registry) => CoverageLedger::scan_with_telemetry(root, registry),
+                None => CoverageLedger::scan(root),
+            }
+            .ok()
+        });
         let prior_covered: BTreeSet<CellKey> = ledger
             .as_ref()
             .map(CoverageLedger::covered_keys)
@@ -732,8 +789,7 @@ impl CampaignDispatcher {
         let campaign_id = format!("{}-{}", now_micros(), std::process::id());
         let started = Instant::now();
         let mut alive: Vec<bool> = vec![true; self.operators.len()];
-        let mut outcomes: Vec<Option<RecipeOutcome>> = Vec::new();
-        outcomes.resize_with(recipes.len(), || None);
+        let mut outcomes: Vec<Option<RecipeOutcome>> = recipes.iter().map(|_| None).collect();
 
         for (wave_index, wave) in shards.iter().enumerate() {
             self.annotate(
@@ -744,7 +800,7 @@ impl CampaignDispatcher {
                     wave_names[wave_index].join(", ")
                 ),
             );
-            self.run_wave_resilient(
+            let ran = self.run_wave_resilient(
                 wave,
                 wave_index,
                 &recipes,
@@ -752,10 +808,14 @@ impl CampaignDispatcher {
                 &mut alive,
                 &mut outcomes,
             )?;
-            // The wave's verdicts are final: append its ledger entries
-            // now, before anything else can fail, mirroring the
-            // single-host runner. Best-effort, deduplicated at read
-            // time against directly scanned flight dirs.
+            // The wave's verdicts are final (every run has finished and
+            // resolved its monitor), so its ledger entries are appended
+            // *now*, before the fallible wave-boundary flush: a campaign
+            // that dies at a boundary keeps every completed wave, and
+            // the ledger never sees a provisional outcome. Best-effort.
+            // Entries whose flight dir is scanned directly are
+            // deduplicated at read time, so dirless (unmonitored)
+            // recipes land here without double-counting recorded ones.
             if let Some(root) = &self.flight_root {
                 let entries: Vec<LedgerEntry> = wave
                     .iter()
@@ -769,6 +829,7 @@ impl CampaignDispatcher {
                     .collect();
                 let _ = append_campaign_entries(root, &entries);
             }
+            self.flush_wave_boundary(&ran, &mut alive)?;
             self.annotate("wave-end", &format!("wave {}", wave_index + 1));
         }
         let wall_clock = started.elapsed();
@@ -791,10 +852,37 @@ impl CampaignDispatcher {
         Ok(report)
     }
 
+    /// Wave boundary (see the module docs): flushes every operator in
+    /// `ran`; one whose flush fails is taken out of `alive`.
+    ///
+    /// # Errors
+    ///
+    /// The failed flush's own error, when it leaves no operator alive.
+    fn flush_wave_boundary(
+        &self,
+        ran: &BTreeSet<usize>,
+        alive: &mut [bool],
+    ) -> Result<(), CoreError> {
+        let mut failed = None;
+        for &op_index in ran {
+            let operator = &self.operators[op_index];
+            if let Err(err) = operator.clear() {
+                self.annotate("operator-dead", &format!("{}: {err}", operator.name()));
+                alive[op_index] = false;
+                failed = Some(err);
+            }
+        }
+        match failed {
+            Some(err) if !alive.contains(&true) => Err(err),
+            _ => Ok(()),
+        }
+    }
+
     /// Drives one planned wave to completion: dispatches the live
     /// slices concurrently, marks failed operators dead, and
     /// re-shards their recipes over the survivors until every recipe
-    /// in the wave has an outcome.
+    /// in the wave has an outcome. Returns the live operators that
+    /// completed a slice — the ones the wave boundary must flush.
     fn run_wave_resilient(
         &self,
         wave: &[Vec<usize>],
@@ -803,24 +891,24 @@ impl CampaignDispatcher {
         campaign_id: &str,
         alive: &mut [bool],
         outcomes: &mut [Option<RecipeOutcome>],
-    ) -> Result<(), CoreError> {
+    ) -> Result<BTreeSet<usize>, CoreError> {
         // (operator index, recipe indices) ready to dispatch; recipes
         // stranded by dead operators wait in the pool.
         let mut assignments: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut pool: Vec<usize> = Vec::new();
+        let mut ran: BTreeSet<usize> = BTreeSet::new();
         for (op_index, slice) in wave.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            if alive[op_index] {
+            if !alive[op_index] {
+                pool.extend(slice);
+            } else if !slice.is_empty() {
                 assignments.push((op_index, slice.clone()));
-            } else {
-                pool.extend(slice.iter().copied());
             }
         }
-
-        while !assignments.is_empty() || !pool.is_empty() {
+        loop {
             if assignments.is_empty() {
+                if pool.is_empty() {
+                    return Ok(ran);
+                }
                 let survivors: Vec<usize> =
                     (0..self.operators.len()).filter(|&op| alive[op]).collect();
                 if survivors.is_empty() {
@@ -841,40 +929,16 @@ impl CampaignDispatcher {
                     ),
                 );
                 pool = leftover;
-                for (slot, slice) in slices.into_iter().enumerate() {
-                    if !slice.is_empty() {
-                        assignments.push((survivors[slot], slice));
-                    }
-                }
-                continue;
+                assignments = survivors.into_iter().zip(slices).collect();
+                assignments.retain(|(_, slice)| !slice.is_empty());
             }
-
-            let current = std::mem::take(&mut assignments);
-            let slots: Vec<Mutex<Option<SliceResult>>> =
-                current.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..current.len() {
-                    scope.spawn(|| {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let (op_index, indices) = &current[slot];
-                        *slots[slot].lock() = Some(self.dispatch_slice(
-                            *op_index,
-                            indices,
-                            recipes,
-                            wave_index,
-                            campaign_id,
-                        ));
-                    });
-                }
+            let results = par_map(&assignments, |(op_index, indices)| {
+                self.dispatch_slice(*op_index, indices, recipes, wave_index, campaign_id)
             });
-            let results: Vec<SliceResult> = slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every slice dispatched"))
-                .collect();
-            for ((op_index, indices), result) in current.into_iter().zip(results) {
+            for ((op_index, indices), result) in assignments.drain(..).zip(results) {
                 match result {
                     Ok(slice_outcomes) => {
+                        ran.insert(op_index);
                         for (index, outcome) in indices.into_iter().zip(slice_outcomes) {
                             outcomes[index] = Some(outcome);
                         }
@@ -885,19 +949,20 @@ impl CampaignDispatcher {
                             &format!("{}: {err}", self.operators[op_index].name()),
                         );
                         alive[op_index] = false;
+                        ran.remove(&op_index);
                         pool.extend(indices);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Dispatches one slice to one operator with bounded-backoff
-    /// retries. The idempotency token is stable across attempts, so a
-    /// retry after a lost response replays the operator's recorded
-    /// outcomes; before every retry the operator's faults are flushed
-    /// so a half-staged attempt cannot leak into the next one.
+    /// retries under one idempotency token; before every retry the
+    /// operator's faults are flushed so a half-staged attempt cannot
+    /// leak into the next one. An answer counts only when its outcomes
+    /// line up, name by name, with the recipes posted — anything else
+    /// would be merged under the wrong recipes.
     fn dispatch_slice(
         &self,
         op_index: usize,
@@ -905,7 +970,7 @@ impl CampaignDispatcher {
         recipes: &[CampaignRecipe],
         wave_index: usize,
         campaign_id: &str,
-    ) -> SliceResult {
+    ) -> Result<Vec<RecipeOutcome>, CoreError> {
         let operator = &self.operators[op_index];
         let names: Vec<&str> = indices
             .iter()
@@ -933,15 +998,15 @@ impl CampaignDispatcher {
                 let _ = operator.clear();
             }
             match operator.run_wave(&request) {
-                Ok(response) if response.outcomes.len() == request.recipes.len() => {
-                    return Ok(response.outcomes);
-                }
                 Ok(response) => {
+                    let answered = response.outcomes.iter().map(|o| o.report.name.as_str());
+                    if answered.eq(names.iter().copied()) {
+                        return Ok(response.outcomes);
+                    }
                     last_err = CoreError::DispatchFailed(format!(
-                        "operator {} answered {} outcome(s) for {} recipe(s)",
+                        "operator {} answered outcomes that do not line up with recipes [{}]",
                         operator.name(),
-                        response.outcomes.len(),
-                        request.recipes.len()
+                        names.join(", ")
                     ));
                 }
                 Err(err) => last_err = err,
@@ -955,56 +1020,11 @@ impl CampaignDispatcher {
 mod tests {
     use super::*;
     use crate::scenarios::Scenario;
-    use gremlin_proxy::{AgentControl, ProxyError, Rule};
-    use gremlin_store::EventStore;
+    use crate::testutil::fan_ctx;
     use std::sync::atomic::AtomicBool;
-
-    /// In-memory agent recording installed rules.
-    struct SinkAgent {
-        service: String,
-        rules: Mutex<Vec<Rule>>,
-    }
-
-    impl SinkAgent {
-        fn new(service: &str) -> Arc<SinkAgent> {
-            Arc::new(SinkAgent {
-                service: service.to_string(),
-                rules: Mutex::new(Vec::new()),
-            })
-        }
-    }
-
-    impl AgentControl for SinkAgent {
-        fn service_name(&self) -> String {
-            self.service.clone()
-        }
-
-        fn install_rules(&self, rules: &[Rule]) -> Result<(), ProxyError> {
-            self.rules.lock().extend(rules.iter().cloned());
-            Ok(())
-        }
-
-        fn clear_rules(&self) -> Result<(), ProxyError> {
-            self.rules.lock().clear();
-            Ok(())
-        }
-
-        fn list_rules(&self) -> Result<Vec<Rule>, ProxyError> {
-            Ok(self.rules.lock().clone())
-        }
-    }
 
     fn fan_pairs() -> Vec<(&'static str, &'static str)> {
         vec![("c1", "s1"), ("c2", "s2"), ("c3", "s3"), ("c4", "s4")]
-    }
-
-    fn fleet_ctx(pairs: &[(&'static str, &'static str)]) -> TestContext {
-        let graph = AppGraph::from_edges(pairs.to_vec());
-        let agents: Vec<Arc<dyn AgentControl>> = pairs
-            .iter()
-            .map(|(src, _)| SinkAgent::new(src) as Arc<dyn AgentControl>)
-            .collect();
-        TestContext::new(graph, agents, EventStore::shared())
     }
 
     fn abort_recipes(
@@ -1021,73 +1041,91 @@ mod tests {
             .collect()
     }
 
-    /// In-process transport over a full [`TestContext`], with optional
-    /// scripted failures.
-    struct LocalOperator {
-        name: String,
-        ctx: TestContext,
-        calls: AtomicUsize,
+    /// A [`LocalOperator`] over its own full fleet, behind scripted
+    /// transport failures.
+    struct ScriptedOperator {
+        inner: LocalOperator,
+        /// The recipe names of every slice received, in order.
+        slices: Mutex<Vec<Vec<String>>>,
         fail_first: usize,
+        swap_first: bool,
+        clear_fails: bool,
         dead: AtomicBool,
     }
 
-    impl LocalOperator {
-        fn new(name: &str, ctx: TestContext) -> LocalOperator {
-            LocalOperator {
-                name: name.to_string(),
-                ctx,
-                calls: AtomicUsize::new(0),
+    impl ScriptedOperator {
+        fn new(name: &str, pairs: &[(&'static str, &'static str)]) -> ScriptedOperator {
+            ScriptedOperator {
+                inner: LocalOperator::new(name, fan_ctx(pairs).0, None),
+                slices: Mutex::new(Vec::new()),
                 fail_first: 0,
+                swap_first: false,
+                clear_fails: false,
                 dead: AtomicBool::new(false),
             }
         }
 
-        fn failing_first(mut self, failures: usize) -> LocalOperator {
+        /// The first `failures` wave calls fail in transit.
+        fn failing_first(mut self, failures: usize) -> ScriptedOperator {
             self.fail_first = failures;
+            self
+        }
+
+        /// The first answer comes back with its first two outcomes
+        /// swapped.
+        fn swapping_first_answer(mut self) -> ScriptedOperator {
+            self.swap_first = true;
+            self
+        }
+
+        /// Every `clear()` fails while waves keep working.
+        fn failing_clears(mut self) -> ScriptedOperator {
+            self.clear_fails = true;
             self
         }
 
         fn kill(&self) {
             self.dead.store(true, Ordering::SeqCst);
         }
+
+        fn calls(&self) -> usize {
+            self.slices.lock().len()
+        }
+
+        fn down(&self, what: &str) -> CoreError {
+            CoreError::DispatchFailed(format!("operator {} {what}", self.inner.name()))
+        }
     }
 
-    impl OperatorTransport for LocalOperator {
+    impl OperatorTransport for ScriptedOperator {
         fn name(&self) -> String {
-            self.name.clone()
+            self.inner.name()
         }
 
         fn run_wave(&self, wave: &WaveRequest) -> Result<WaveResponse, CoreError> {
-            let call = self.calls.fetch_add(1, Ordering::SeqCst);
+            let call = {
+                let mut slices = self.slices.lock();
+                slices.push(wave.recipes.iter().map(|r| r.name.clone()).collect());
+                slices.len() - 1
+            };
             if self.dead.load(Ordering::SeqCst) {
-                return Err(CoreError::DispatchFailed(format!(
-                    "operator {} is down",
-                    self.name
-                )));
+                return Err(self.down("is down"));
             }
             if call < self.fail_first {
-                return Err(CoreError::DispatchFailed(format!(
-                    "operator {} transient failure",
-                    self.name
-                )));
+                return Err(self.down("transient failure"));
             }
-            let outcomes = execute_wave(&self.ctx, &wave.recipes, &wave.seed_baselines, None);
-            let _ = self.ctx.clear_faults();
-            Ok(WaveResponse {
-                operator: self.name.clone(),
-                outcomes,
-                cached: false,
-            })
+            let mut response = self.inner.run_wave(wave)?;
+            if self.swap_first && call == 0 {
+                response.outcomes.swap(0, 1);
+            }
+            Ok(response)
         }
 
         fn clear(&self) -> Result<(), CoreError> {
-            if self.dead.load(Ordering::SeqCst) {
-                return Err(CoreError::DispatchFailed(format!(
-                    "operator {} is down",
-                    self.name
-                )));
+            if self.clear_fails || self.dead.load(Ordering::SeqCst) {
+                return Err(self.down("cannot clear"));
             }
-            self.ctx.clear_faults()
+            self.inner.clear()
         }
     }
 
@@ -1122,8 +1160,8 @@ mod tests {
         let pairs = fan_pairs();
         let graph = AppGraph::from_edges(pairs.clone());
         let operators: Vec<Arc<dyn OperatorTransport>> = vec![
-            Arc::new(LocalOperator::new("op-a", fleet_ctx(&pairs))),
-            Arc::new(LocalOperator::new("op-b", fleet_ctx(&pairs))),
+            Arc::new(LocalOperator::new("op-a", fan_ctx(&pairs).0, None)),
+            Arc::new(LocalOperator::new("op-b", fan_ctx(&pairs).0, None)),
         ];
         let report = CampaignDispatcher::new(graph, operators)
             .max_in_flight(2)
@@ -1142,7 +1180,7 @@ mod tests {
     fn transient_operator_failure_is_retried() {
         let pairs = fan_pairs();
         let graph = AppGraph::from_edges(pairs.clone());
-        let flaky = Arc::new(LocalOperator::new("flaky", fleet_ctx(&pairs)).failing_first(1));
+        let flaky = Arc::new(ScriptedOperator::new("flaky", &pairs).failing_first(1));
         let operators: Vec<Arc<dyn OperatorTransport>> = vec![Arc::clone(&flaky) as _];
         let report = CampaignDispatcher::new(graph, operators)
             .max_in_flight(4)
@@ -1151,18 +1189,15 @@ mod tests {
             .run(abort_recipes(&pairs, Duration::from_millis(10)))
             .unwrap();
         assert!(report.passed(), "{report}");
-        assert!(
-            flaky.calls.load(Ordering::SeqCst) >= 2,
-            "first attempt failed, retry succeeded"
-        );
+        assert!(flaky.calls() >= 2, "first attempt failed, retry succeeded");
     }
 
     #[test]
     fn dead_operator_waves_reshard_to_survivor() {
         let pairs = fan_pairs();
         let graph = AppGraph::from_edges(pairs.clone());
-        let survivor = Arc::new(LocalOperator::new("survivor", fleet_ctx(&pairs)));
-        let doomed = Arc::new(LocalOperator::new("doomed", fleet_ctx(&pairs)));
+        let survivor = Arc::new(ScriptedOperator::new("survivor", &pairs));
+        let doomed = Arc::new(ScriptedOperator::new("doomed", &pairs));
         doomed.kill();
         let operators: Vec<Arc<dyn OperatorTransport>> =
             vec![Arc::clone(&survivor) as _, Arc::clone(&doomed) as _];
@@ -1176,14 +1211,14 @@ mod tests {
         // survivor executed all of them.
         assert_eq!(report.recipes.len(), 4);
         assert!(report.passed(), "{report}");
-        assert!(survivor.calls.load(Ordering::SeqCst) >= 2);
+        assert!(survivor.calls() >= 2);
     }
 
     #[test]
     fn campaign_fails_when_every_operator_dies() {
         let pairs = fan_pairs();
         let graph = AppGraph::from_edges(pairs.clone());
-        let doomed = Arc::new(LocalOperator::new("doomed", fleet_ctx(&pairs)));
+        let doomed = Arc::new(ScriptedOperator::new("doomed", &pairs));
         doomed.kill();
         let operators: Vec<Arc<dyn OperatorTransport>> = vec![Arc::clone(&doomed) as _];
         let err = CampaignDispatcher::new(graph, operators)
@@ -1192,6 +1227,54 @@ mod tests {
             .run(abort_recipes(&pairs, Duration::from_millis(10)))
             .unwrap_err();
         assert!(matches!(err, CoreError::DispatchFailed(_)), "{err}");
+    }
+
+    #[test]
+    fn misaligned_outcomes_are_rejected_and_retried() {
+        let pairs = fan_pairs();
+        let graph = AppGraph::from_edges(pairs.clone());
+        let shuffler = Arc::new(ScriptedOperator::new("shuffler", &pairs).swapping_first_answer());
+        let operators: Vec<Arc<dyn OperatorTransport>> = vec![Arc::clone(&shuffler) as _];
+        let recipes = abort_recipes(&pairs, Duration::from_millis(10));
+        let names: Vec<String> = recipes.iter().map(|r| r.name.clone()).collect();
+        let report = CampaignDispatcher::new(graph, operators)
+            .max_in_flight(4)
+            .retries(1)
+            .backoff(Duration::from_millis(1))
+            .run(recipes)
+            .unwrap();
+        // The swapped answer was refused, not merged under the wrong
+        // recipes; the retry's answer lines up.
+        assert_eq!(shuffler.calls(), 2);
+        let reported: Vec<String> = report.recipes.iter().map(|r| r.name.clone()).collect();
+        assert_eq!(reported, names);
+    }
+
+    #[test]
+    fn operator_whose_boundary_clear_fails_gets_no_further_slice() {
+        let pairs = fan_pairs();
+        let graph = AppGraph::from_edges(pairs.clone());
+        let survivor = Arc::new(ScriptedOperator::new("survivor", &pairs));
+        let leaky = Arc::new(ScriptedOperator::new("leaky", &pairs).failing_clears());
+        let operators: Vec<Arc<dyn OperatorTransport>> =
+            vec![Arc::clone(&survivor) as _, Arc::clone(&leaky) as _];
+        // Width 1 per operator -> two waves of two slices. The leaky
+        // operator's flush fails at the first boundary, so its wave-2
+        // slice re-shards to the survivor.
+        let report = CampaignDispatcher::new(graph, operators)
+            .max_in_flight(1)
+            .retries(0)
+            .backoff(Duration::from_millis(1))
+            .run(abort_recipes(&pairs, Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(*leaky.slices.lock(), vec![vec!["c2-s2".to_string()]]);
+        assert_eq!(
+            *survivor.slices.lock(),
+            vec![vec!["c1-s1"], vec!["c3-s3"], vec!["c4-s4"]]
+        );
+        let reported: Vec<&str> = report.recipes.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(reported, vec!["c1-s1", "c2-s2", "c3-s3", "c4-s4"]);
+        assert!(report.passed(), "{report}");
     }
 
     #[test]
@@ -1205,7 +1288,7 @@ mod tests {
     #[test]
     fn wave_wire_types_round_trip() {
         let pairs = vec![("c1", "s1")];
-        let ctx = fleet_ctx(&pairs);
+        let (ctx, _) = fan_ctx(&pairs);
         let recipe = CampaignRecipe::new("rt")
             .scenario(Scenario::abort("c1", "s1", 503))
             .hold(Duration::from_millis(5));
@@ -1228,113 +1311,5 @@ mod tests {
         let json = serde_json::to_string(&request).unwrap();
         let back: WaveRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(request, back);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn footprint_strategy() -> impl Strategy<Value = BTreeSet<(String, String)>> {
-            proptest::collection::btree_set(
-                (0..4u8, 0..4u8).prop_map(|(s, d)| (format!("s{s}"), format!("d{d}"))),
-                1..4,
-            )
-        }
-
-        proptest! {
-            #[test]
-            fn shards_assign_every_recipe_exactly_once_and_stay_disjoint(
-                footprints in proptest::collection::vec(footprint_strategy(), 1..12),
-                operators in 1usize..5,
-                max_in_flight in 1usize..4,
-            ) {
-                let shards = plan_shards(&footprints, operators, max_in_flight);
-                let mut seen: Vec<usize> = shards
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .copied()
-                    .collect();
-                seen.sort_unstable();
-                prop_assert_eq!(seen, (0..footprints.len()).collect::<Vec<_>>());
-                for wave in &shards {
-                    prop_assert_eq!(wave.len(), operators);
-                    for slice in wave {
-                        prop_assert!(slice.len() <= max_in_flight);
-                    }
-                    // Disjointness holds across the whole wave, even
-                    // between recipes on different operators.
-                    let flat: Vec<usize> = wave.iter().flatten().copied().collect();
-                    for (i, &a) in flat.iter().enumerate() {
-                        for &b in &flat[i + 1..] {
-                            prop_assert!(
-                                footprints[a].is_disjoint(&footprints[b]),
-                                "wave co-schedules intersecting footprints {} and {}",
-                                a, b,
-                            );
-                        }
-                    }
-                }
-            }
-
-            #[test]
-            fn reassign_conserves_the_pool(
-                pool in proptest::collection::vec(0usize..64, 0..16),
-                survivors in 1usize..5,
-                max_in_flight in 1usize..4,
-            ) {
-                let (slices, leftover) = reassign(&pool, survivors, max_in_flight);
-                prop_assert_eq!(slices.len(), survivors);
-                for slice in &slices {
-                    prop_assert!(slice.len() <= max_in_flight);
-                }
-                let mut rebuilt: Vec<usize> =
-                    slices.iter().flatten().copied().collect();
-                rebuilt.extend(leftover.iter().copied());
-                rebuilt.sort_unstable();
-                let mut original = pool.clone();
-                original.sort_unstable();
-                prop_assert_eq!(rebuilt, original);
-            }
-
-            #[test]
-            fn shards_survive_random_operator_failures(
-                footprints in proptest::collection::vec(footprint_strategy(), 1..10),
-                operators in 2usize..5,
-                max_in_flight in 1usize..4,
-                failures in proptest::collection::vec(any::<bool>(), 2..5),
-            ) {
-                // Simulate the dispatcher's pooling/re-sharding control
-                // flow without executing recipes: every recipe must be
-                // assigned exactly once as long as one operator lives.
-                let shards = plan_shards(&footprints, operators, max_in_flight);
-                let alive: Vec<bool> = (0..operators)
-                    .map(|op| *failures.get(op).unwrap_or(&true))
-                    .collect();
-                prop_assume!(alive.iter().any(|&a| a));
-                let mut executed: Vec<usize> = Vec::new();
-                for wave in &shards {
-                    let mut pool: Vec<usize> = Vec::new();
-                    for (op, slice) in wave.iter().enumerate() {
-                        if alive[op] {
-                            executed.extend(slice.iter().copied());
-                        } else {
-                            pool.extend(slice.iter().copied());
-                        }
-                    }
-                    let survivors = alive.iter().filter(|&&a| a).count();
-                    while !pool.is_empty() {
-                        let (slices, leftover) =
-                            reassign(&pool, survivors, max_in_flight);
-                        for slice in slices {
-                            executed.extend(slice);
-                        }
-                        pool = leftover;
-                    }
-                }
-                executed.sort_unstable();
-                prop_assert_eq!(executed, (0..footprints.len()).collect::<Vec<_>>());
-            }
-        }
     }
 }

@@ -22,8 +22,8 @@
 //! The ledger is derived state: [`CoverageLedger::scan`] walks a
 //! flight-recorder root (each subdirectory is one run, see
 //! [`crate::flight`]) plus the append-only `campaigns.jsonl` the
-//! [`CampaignRunner`](crate::campaign::CampaignRunner) writes for
-//! runs that recorded no artifacts. Partial or crashed run
+//! [`CampaignDispatcher`](crate::dispatch::CampaignDispatcher) writes
+//! for runs that recorded no artifacts. Partial or crashed run
 //! directories are indexed as [`RunOutcome::Incomplete`] rather than
 //! failing the scan. All derived views (matrix, markdown scorecard,
 //! JSON summary) are deterministic for a given root.
@@ -287,7 +287,7 @@ impl RunOutcome {
     }
 
     /// Derives the outcome from an in-memory [`RecipeReport`] — used
-    /// by the campaign runner when appending verdicts to the ledger.
+    /// by the campaign dispatcher when appending verdicts to the ledger.
     pub fn of_report(report: &RecipeReport) -> RunOutcome {
         if report
             .monitor
@@ -339,7 +339,7 @@ impl fmt::Display for RunOutcome {
 }
 
 /// One line of `campaigns.jsonl`: a recipe verdict appended by the
-/// campaign runner, covering runs with *and without* flight
+/// campaign dispatcher, covering runs with *and without* flight
 /// artifacts. Entries whose `flight_dir` was also scanned as a run
 /// directory are deduplicated (the richer directory wins).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -815,7 +815,7 @@ impl CoverageLedger {
         self.cells.len()
     }
 
-    /// The set of covered cell keys — the campaign runner diffs this
+    /// The set of covered cell keys — the campaign dispatcher diffs this
     /// before/after to report cells newly covered by a campaign.
     pub fn covered_keys(&self) -> BTreeSet<CellKey> {
         self.cells.keys().cloned().collect()
@@ -1180,8 +1180,8 @@ impl CellStats {
 }
 
 /// Appends campaign verdict entries to `<root>/campaigns.jsonl`
-/// (creating the root if needed) — called by the campaign runner
-/// after every campaign.
+/// (creating the root if needed) — called by the campaign dispatcher
+/// after every wave.
 ///
 /// # Errors
 ///

@@ -67,21 +67,23 @@ pub mod monitor;
 pub mod orchestrator;
 pub mod recipe;
 pub mod scenarios;
+#[cfg(test)]
+mod testutil;
 pub mod timeutil;
 pub mod trace;
 
 pub use anomaly::{drift_z, AnomalyAlert, AnomalyConfig, AnomalyScore, AnomalyScorer, EdgeState};
 pub use campaign::{
-    execute_recipe, plan_waves, CampaignRecipe, CampaignReport, CampaignRunner, CampaignSpec,
-    RecipeOutcome, DEFAULT_MAX_IN_FLIGHT, STEER_FLAKY_THRESHOLD,
+    execute_recipe, plan_waves, CampaignRecipe, CampaignReport, CampaignSpec, RecipeOutcome,
+    DEFAULT_MAX_IN_FLIGHT, STEER_FLAKY_THRESHOLD,
 };
 pub use checker::{
     at_most_requests, check_status, combine, num_requests, reply_latency, request_rate,
     AssertionChecker, Check, CombineStep, View,
 };
 pub use dispatch::{
-    plan_shards, CampaignDispatcher, HttpOperator, OperatorServer, OperatorStatus,
-    OperatorTransport, WaveRequest, WaveResponse, DISPATCH_SCHEMA_VERSION,
+    plan_shards, reassign, CampaignDispatcher, HttpOperator, LocalOperator, OperatorServer,
+    OperatorStatus, OperatorTransport, WaveRequest, WaveResponse, DISPATCH_SCHEMA_VERSION,
 };
 pub use error::CoreError;
 pub use flight::{

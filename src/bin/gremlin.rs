@@ -36,9 +36,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gremlin::core::{
-    parse_duration, AppGraph, AssertionChecker, CampaignDispatcher, CampaignReport, CampaignRunner,
-    CampaignSpec, FailureOrchestrator, FlowTrace, HttpOperator, OperatorServer, OperatorTransport,
-    Scenario, TestContext,
+    parse_duration, AppGraph, AssertionChecker, CampaignDispatcher, CampaignSpec,
+    FailureOrchestrator, FlowTrace, HttpOperator, OperatorServer, OperatorTransport, Scenario,
+    TestContext,
 };
 use gremlin::proxy::{AgentControl, ControlClient};
 use gremlin::store::{EventStore, Pattern};
@@ -234,18 +234,19 @@ fn cmd_install(args: &[String]) -> Result<String, Box<dyn Error>> {
     ))
 }
 
-/// `gremlin campaign` — run a whole set of recipes against the fleet,
-/// scheduling footprint-disjoint recipes concurrently (see
-/// `gremlin_core::campaign`). `--serial` forces one recipe at a time;
+/// `gremlin campaign` — run a whole set of recipes, scheduling
+/// footprint-disjoint recipes concurrently (see
+/// `gremlin_core::dispatch`). `--serial` forces one recipe at a time;
 /// `--seed <dir>` loads a prior run's `baselines.json` so anomaly
 /// monitors skip their warmup; `--flight-root <dir>` records per-run
 /// artifacts and the merged baselines for the next campaign.
 ///
-/// With `--operators <addr,...>` the campaign is instead sharded
-/// across `gremlin operator serve` hosts (see
-/// `gremlin_core::dispatch`): each wave splits into per-operator
-/// slices, a dead operator's recipes re-shard to the survivors, and
-/// the merged report is identical in shape to a single-host run.
+/// `--agents <addr,...>` runs the campaign on this host, as one
+/// in-process operator over those agents; `--operators <addr,...>`
+/// shards it across `gremlin operator serve` hosts instead: each wave
+/// splits into per-operator slices and a dead operator's recipes
+/// re-shard to the survivors. Either way it is the same dispatcher and
+/// the same report.
 fn cmd_campaign(args: &[String]) -> Result<String, Box<dyn Error>> {
     let graph = load_graph(positional(args, 0)?)?;
     let spec_path = positional(args, 1)?;
@@ -256,26 +257,9 @@ fn cmd_campaign(args: &[String]) -> Result<String, Box<dyn Error>> {
     if spec.recipes.is_empty() {
         return Err(format!("campaign file {spec_path:?} has no recipes").into());
     }
-    let max_in_flight = if has_flag(args, "--serial") {
-        Some(1)
-    } else if let Some(value) = flag_value(args, "--max-in-flight") {
-        Some(value.parse::<usize>()?)
-    } else {
-        spec.max_in_flight
-    };
-    let seed_baselines = match flag_value(args, "--seed") {
-        Some(dir) => {
-            let baselines = gremlin::core::load_baselines(dir)
-                .map_err(|e| format!("cannot load baselines from {dir:?}: {e}"))?;
-            if baselines.is_empty() {
-                return Err(format!("no baselines.json under {dir:?} to seed from").into());
-            }
-            Some(baselines)
-        }
-        None => None,
-    };
+    let flight_root = flag_value(args, "--flight-root").map(PathBuf::from);
 
-    let report: CampaignReport = if let Some(operator_spec) = flag_value(args, "--operators") {
+    let mut dispatcher = if let Some(operator_spec) = flag_value(args, "--operators") {
         let mut operators: Vec<Arc<dyn OperatorTransport>> = Vec::new();
         for part in operator_spec.split(',').filter(|s| !s.is_empty()) {
             let addr: SocketAddr = part
@@ -286,45 +270,42 @@ fn cmd_campaign(args: &[String]) -> Result<String, Box<dyn Error>> {
         if operators.is_empty() {
             return Err("no operator addresses given".into());
         }
-        let mut dispatcher = CampaignDispatcher::new(graph, operators);
-        if let Some(max_in_flight) = max_in_flight {
-            dispatcher = dispatcher.max_in_flight(max_in_flight);
+        let dispatcher = CampaignDispatcher::new(graph, operators);
+        match flight_root {
+            Some(root) => dispatcher.flight_root(root),
+            None => dispatcher,
         }
-        if let Some(root) = flag_value(args, "--flight-root") {
-            dispatcher = dispatcher.flight_root(root);
-        }
-        if let Some(baselines) = seed_baselines {
-            dispatcher = dispatcher.seed(baselines);
-        }
-        if has_flag(args, "--steer-order") {
-            dispatcher = dispatcher.steer_order(true);
-        }
-        if let Some(retries) = flag_value(args, "--retries") {
-            dispatcher = dispatcher.retries(retries.parse::<usize>()?);
-        }
-        if let Some(backoff) = flag_value(args, "--backoff") {
-            dispatcher = dispatcher.backoff(parse_duration(backoff)?);
-        }
-        dispatcher.run(spec.recipes)?
     } else {
         let agents =
             connect_agents(flag_value(args, "--agents").ok_or("missing --agents <addr,...>")?)?;
         let ctx = TestContext::new(graph, agents, EventStore::shared());
-        let mut runner = CampaignRunner::new(&ctx);
-        if let Some(max_in_flight) = max_in_flight {
-            runner = runner.max_in_flight(max_in_flight);
-        }
-        if let Some(root) = flag_value(args, "--flight-root") {
-            runner = runner.flight_root(root);
-        }
-        if let Some(baselines) = seed_baselines {
-            runner = runner.seed(baselines);
-        }
-        if has_flag(args, "--steer-order") {
-            runner = runner.steer_order(true);
-        }
-        runner.run(spec.recipes)?
+        CampaignDispatcher::single_host(ctx, flight_root)
     };
+    if has_flag(args, "--serial") {
+        dispatcher = dispatcher.max_in_flight(1);
+    } else if let Some(value) = flag_value(args, "--max-in-flight") {
+        dispatcher = dispatcher.max_in_flight(value.parse::<usize>()?);
+    } else if let Some(max_in_flight) = spec.max_in_flight {
+        dispatcher = dispatcher.max_in_flight(max_in_flight);
+    }
+    if let Some(dir) = flag_value(args, "--seed") {
+        let baselines = gremlin::core::load_baselines(dir)
+            .map_err(|e| format!("cannot load baselines from {dir:?}: {e}"))?;
+        if baselines.is_empty() {
+            return Err(format!("no baselines.json under {dir:?} to seed from").into());
+        }
+        dispatcher = dispatcher.seed(baselines);
+    }
+    if has_flag(args, "--steer-order") {
+        dispatcher = dispatcher.steer_order(true);
+    }
+    if let Some(retries) = flag_value(args, "--retries") {
+        dispatcher = dispatcher.retries(retries.parse::<usize>()?);
+    }
+    if let Some(backoff) = flag_value(args, "--backoff") {
+        dispatcher = dispatcher.backoff(parse_duration(backoff)?);
+    }
+    let report = dispatcher.run(spec.recipes)?;
     let output = report.to_string().trim_end().to_string();
     if report.passed() {
         Ok(output)

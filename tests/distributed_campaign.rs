@@ -1,8 +1,9 @@
 //! End-to-end distributed campaign execution: two in-process
 //! operator hosts behind real httpwire control endpoints, driven by a
 //! [`CampaignDispatcher`] coordinator. The merged report must match a
-//! single-host run of the same campaign (same verdicts, same covered
-//! coverage cells), and killing one operator mid-campaign must
+//! single-host run of the same campaign — the same dispatcher over one
+//! in-process `LocalOperator` — (same verdicts, same covered coverage
+//! cells), and killing one operator mid-campaign must
 //! re-shard its waves to the survivor without losing or duplicating a
 //! single `campaigns.jsonl` entry.
 
@@ -13,8 +14,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gremlin::core::{
-    AppGraph, CampaignDispatcher, CampaignRecipe, CampaignRunner, CoverageLedger, HttpOperator,
-    OperatorServer, OperatorTransport, Scenario, TestContext, WaveRequest, WaveResponse,
+    AppGraph, CampaignDispatcher, CampaignRecipe, CoverageLedger, HttpOperator, OperatorServer,
+    OperatorTransport, Scenario, TestContext, WaveRequest, WaveResponse,
 };
 use gremlin::proxy::{AgentControl, ProxyError, Rule};
 use gremlin::store::EventStore;
@@ -107,12 +108,10 @@ fn ledger_recipe_names(root: &Path) -> Vec<String> {
 
 #[test]
 fn merged_distributed_report_matches_single_host_run() {
-    // Single-host reference run.
+    // Single-host reference run: one in-process operator.
     let single_root = temp_root("single");
-    let ctx = fleet_ctx();
-    let single = CampaignRunner::new(&ctx)
+    let single = CampaignDispatcher::single_host(fleet_ctx(), Some(single_root.clone()))
         .max_in_flight(3)
-        .flight_root(&single_root)
         .run(recipes())
         .unwrap();
 
