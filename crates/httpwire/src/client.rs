@@ -8,9 +8,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::codec::{read_response_with_limits, write_request, Limits};
+use crate::codec::{read_response_with_limits, write_request_for_host, Limits};
 use crate::error::HttpError;
-use crate::headers::names;
 use crate::message::{Request, Response};
 use crate::Result;
 
@@ -83,7 +82,27 @@ impl Default for ClientConfig {
 #[derive(Debug)]
 pub struct HttpClient {
     config: ClientConfig,
-    idle: Mutex<HashMap<String, Vec<TcpStream>>>,
+    idle: Mutex<HashMap<SocketAddr, Vec<Connection>>>,
+}
+
+/// One upstream connection with everything that lives as long as it
+/// does: both halves' buffers (one `try_clone` at connect, none per
+/// exchange) and the `Host` value sent for requests that name none.
+#[derive(Debug)]
+struct Connection {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+    host: String,
+}
+
+impl Connection {
+    fn new(stream: TcpStream, host: String) -> Result<Connection> {
+        Ok(Connection {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
+            host,
+        })
+    }
 }
 
 impl Default for HttpClient {
@@ -113,9 +132,13 @@ impl HttpClient {
 
     /// Sends `request` to `addr` and waits for the response.
     ///
-    /// A `Host` header is added when missing. Idle pooled connections
-    /// are reused when keep-alive is enabled; a send over a stale
-    /// pooled connection is retried once on a fresh connection.
+    /// `addr` is resolved on every call and the first address it
+    /// yields keys the idle pool, so a [`SocketAddr`] costs nothing and
+    /// a host name costs a lookup per call. A `Host` header (`addr` as
+    /// given when the connection was opened) is sent when the request
+    /// has none. Idle pooled connections are reused when keep-alive is
+    /// enabled; a send over a stale pooled connection is retried once
+    /// on a fresh connection.
     ///
     /// # Errors
     ///
@@ -124,23 +147,24 @@ impl HttpClient {
     ///   away mid-exchange.
     /// * Codec errors for malformed responses.
     pub fn send(&self, addr: impl ToSocketAddrs + ToString, request: Request) -> Result<Response> {
-        let addr_text = addr.to_string();
-        let mut request = request;
-        if !request.headers().contains(names::HOST) {
-            request.headers_mut().insert(names::HOST, addr_text.clone());
-        }
+        let socket_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            HttpError::Io(std::io::Error::other(format!(
+                "cannot resolve {}",
+                addr.to_string()
+            )))
+        })?;
 
         // First try a pooled connection, falling back once to a fresh
         // connection if the pooled one turned out to be dead.
-        if let Some(stream) = self.take_idle(&addr_text) {
-            match self.exchange(stream, &request, &addr_text) {
+        if let Some(connection) = self.take_idle(socket_addr) {
+            match self.exchange(connection, &request, socket_addr) {
                 Ok(response) => return Ok(response),
                 Err(err) if err.is_connection_error() => { /* retry on fresh */ }
                 Err(err) => return Err(err),
             }
         }
-        let stream = self.connect(&addr_text)?;
-        self.exchange(stream, &request, &addr_text)
+        let connection = Connection::new(self.connect(socket_addr)?, addr.to_string())?;
+        self.exchange(connection, &request, socket_addr)
     }
 
     /// Establishes a raw TCP connection to `addr`, honoring the
@@ -150,11 +174,10 @@ impl HttpClient {
     ///
     /// Returns [`HttpError::Timeout`] on connect-deadline expiry or an
     /// I/O error if the peer refuses the connection.
-    pub fn connect(&self, addr: &str) -> Result<TcpStream> {
-        let socket_addr: SocketAddr = resolve(addr)?;
+    pub fn connect(&self, addr: SocketAddr) -> Result<TcpStream> {
         let stream = match self.config.connect_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&socket_addr, timeout)?,
-            None => TcpStream::connect(socket_addr)?,
+            Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
+            None => TcpStream::connect(addr)?,
         };
         stream.set_read_timeout(self.config.read_timeout)?;
         stream.set_write_timeout(self.config.write_timeout)?;
@@ -162,37 +185,43 @@ impl HttpClient {
         Ok(stream)
     }
 
-    fn exchange(&self, stream: TcpStream, request: &Request, addr: &str) -> Result<Response> {
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        write_request(&mut writer, request)?;
-        drop(writer);
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let response = read_response_with_limits(&mut reader, self.config.limits)?;
+    fn exchange(
+        &self,
+        mut connection: Connection,
+        request: &Request,
+        addr: SocketAddr,
+    ) -> Result<Response> {
+        write_request_for_host(&mut connection.writer, request, Some(&connection.host))?;
+        let response = read_response_with_limits(&mut connection.reader, self.config.limits)?;
+        // The reader outlives the exchange, so bytes the peer sent past
+        // the end of this response would be parsed as the start of the
+        // next one: such a connection is dropped, not pooled.
         let reusable = self.config.keep_alive
             && !response.headers().connection_close()
-            && !request.headers().connection_close();
+            && !request.headers().connection_close()
+            && connection.reader.buffer().is_empty();
         if reusable {
-            self.put_idle(addr, stream);
+            self.put_idle(addr, connection);
         }
         Ok(response)
     }
 
-    fn take_idle(&self, addr: &str) -> Option<TcpStream> {
-        self.idle.lock().get_mut(addr)?.pop()
+    fn take_idle(&self, addr: SocketAddr) -> Option<Connection> {
+        self.idle.lock().get_mut(&addr)?.pop()
     }
 
-    fn put_idle(&self, addr: &str, stream: TcpStream) {
+    fn put_idle(&self, addr: SocketAddr, connection: Connection) {
         if self.config.max_idle_per_host == 0 {
             return;
         }
         let mut idle = self.idle.lock();
-        let bucket = idle.entry(addr.to_string()).or_default();
+        let bucket = idle.entry(addr).or_default();
         if bucket.len() >= self.config.max_idle_per_host {
             // `take_idle` pops from the back, so index 0 is the
             // longest-idle connection — evict it.
             bucket.remove(0);
         }
-        bucket.push(stream);
+        bucket.push(connection);
     }
 
     /// Drops all pooled idle connections.
@@ -205,12 +234,6 @@ impl HttpClient {
     pub fn idle_connections(&self) -> usize {
         self.idle.lock().values().map(Vec::len).sum()
     }
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| HttpError::Io(std::io::Error::other(format!("cannot resolve {addr}"))))
 }
 
 #[cfg(test)]
@@ -233,14 +256,10 @@ mod tests {
             for _ in 0..n {
                 let (stream, _) = listener.accept().unwrap();
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
-                loop {
-                    let request = match read_request(&mut reader) {
-                        Ok(r) => r,
-                        Err(_) => break,
-                    };
+                let mut writer = BufWriter::new(stream);
+                while let Ok(request) = read_request(&mut reader) {
                     let close = request.headers().connection_close();
                     let response = handler(request);
-                    let mut writer = BufWriter::new(stream.try_clone().unwrap());
                     write_response(&mut writer, &response).unwrap();
                     if close {
                         break;
@@ -280,6 +299,41 @@ mod tests {
         // the server only accepts once.
         let resp = client.send(addr, Request::get("/2")).unwrap();
         assert_eq!(resp.body_str(), "hi");
+        assert_eq!(client.idle_connections(), 1);
+    }
+
+    #[test]
+    fn bytes_after_a_response_retire_the_connection() {
+        // The first connection answers with a complete response and
+        // then keeps talking; the second one behaves. Pooling the first
+        // would hand "garbage" to the next exchange as its status line.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            use std::io::Write;
+            for trailer in [&b"garbage"[..], b""] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                while let Ok(request) = read_request(&mut reader) {
+                    let mut wire = Vec::new();
+                    write_response(&mut wire, &Response::ok(request.path().to_string())).unwrap();
+                    wire.extend_from_slice(trailer);
+                    // One write, so the trailer arrives with the response.
+                    stream.write_all(&wire).unwrap();
+                }
+            }
+        });
+        let client = HttpClient::new();
+        let first = client.send(addr, Request::get("/1")).unwrap();
+        assert_eq!(first.body_str(), "/1");
+        assert_eq!(
+            client.idle_connections(),
+            0,
+            "desynchronised connection pooled"
+        );
+        let second = client.send(addr, Request::get("/2")).unwrap();
+        assert_eq!(second.status(), StatusCode::OK);
+        assert_eq!(second.body_str(), "/2");
         assert_eq!(client.idle_connections(), 1);
     }
 
@@ -409,24 +463,25 @@ mod tests {
             max_idle_per_host: 2,
             ..ClientConfig::default()
         });
-        let key = addr.to_string();
-        let streams: Vec<TcpStream> = (0..3).map(|_| client.connect(&key).unwrap()).collect();
+        let streams: Vec<TcpStream> = (0..3).map(|_| client.connect(addr).unwrap()).collect();
         let ports: Vec<u16> = streams
             .iter()
             .map(|s| s.local_addr().unwrap().port())
             .collect();
         for stream in streams {
-            client.put_idle(&key, stream);
+            client.put_idle(addr, Connection::new(stream, addr.to_string()).unwrap());
         }
         let _held = accept.join().unwrap();
         assert_eq!(client.idle_connections(), 2);
-        let first = client.take_idle(&key).unwrap();
-        let second = client.take_idle(&key).unwrap();
-        assert!(client.take_idle(&key).is_none());
+        let port =
+            |connection: Connection| connection.writer.get_ref().local_addr().unwrap().port();
+        let first = client.take_idle(addr).unwrap();
+        let second = client.take_idle(addr).unwrap();
+        assert!(client.take_idle(addr).is_none());
         // The oldest (first-parked) connection was evicted; reuse
         // prefers the most recently parked.
-        assert_eq!(first.local_addr().unwrap().port(), ports[2]);
-        assert_eq!(second.local_addr().unwrap().port(), ports[1]);
+        assert_eq!(port(first), ports[2]);
+        assert_eq!(port(second), ports[1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 use bytes::Bytes;
 
 use crate::error::HttpError;
-use crate::headers::HeaderMap;
+use crate::headers::{names, HeaderMap};
 use crate::message::{Request, Response, HTTP_VERSION};
 use crate::method::Method;
 use crate::status::StatusCode;
@@ -62,18 +62,14 @@ pub fn read_request_with_limits<R: BufRead>(reader: &mut R, limits: Limits) -> R
     if version != HTTP_VERSION && version != "HTTP/1.0" {
         return Err(HttpError::UnsupportedVersion(version.to_string()));
     }
-    let headers = parse_headers(lines)?;
-    let body = read_body(reader, &headers, limits)?;
-    let mut builder = Request::builder(method, target);
-    for (name, value) in headers.iter() {
-        builder = builder.header(name, value);
-    }
-    let mut request = builder.build();
-    if !body.is_empty() || request.headers().contains("content-length") {
-        // set_body normalizes Content-Length to the actual body size.
-        request.set_body(body);
-    }
-    Ok(request)
+    let mut headers = parse_headers(lines)?;
+    let body = read_body(reader, &mut headers, limits, Unframed::NoBody)?;
+    Ok(Request::from_parts(
+        method,
+        target.to_string(),
+        headers,
+        body,
+    ))
 }
 
 /// Reads one HTTP response from `reader` using default [`Limits`].
@@ -95,32 +91,23 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response> {
 /// limits are exceeded.
 pub fn read_response_with_limits<R: BufRead>(reader: &mut R, limits: Limits) -> Result<Response> {
     let head = read_head(reader, limits.max_head_bytes)?;
-    let mut lines = head.lines();
-    let status_line = lines
-        .next()
-        .ok_or_else(|| HttpError::InvalidStatusLine(String::new()))?;
-    let (status, reason) = parse_status_line(status_line)?;
-    let headers = parse_headers(lines)?;
-    // HEAD responses and 1xx/204/304 have no body by definition, but
-    // our internal servers always frame with Content-Length, so only
-    // the generic paths are needed here.
-    let body = if headers.contains("content-length") || headers.is_chunked() {
-        read_body(reader, &headers, limits)?
-    } else if status == crate::StatusCode::NO_CONTENT
-        || status == crate::StatusCode::NOT_MODIFIED
-        || status.is_informational()
-    {
-        Bytes::new()
+    let (status, reason, mut headers) = parse_response_head(&head)?;
+    // HEAD responses have no body by definition either, but our
+    // internal servers always frame with Content-Length, so only the
+    // generic paths are needed here.
+    let bodiless = status == StatusCode::NO_CONTENT
+        || status == StatusCode::NOT_MODIFIED
+        || status.is_informational();
+    let unframed = if bodiless {
+        Unframed::NoBody
     } else {
-        read_response_body(reader, &headers, limits)?
+        Unframed::UntilClose
     };
-    let mut builder = Response::builder(status).reason(reason);
-    for (name, value) in headers.iter() {
-        builder = builder.header(name, value);
+    let body = read_body(reader, &mut headers, limits, unframed)?;
+    if bodiless && body.is_empty() {
+        headers.insert(names::CONTENT_LENGTH, "0");
     }
-    let mut response = builder.build();
-    response.set_body(body);
-    Ok(response)
+    Ok(Response::from_parts(status, reason, headers, body))
 }
 
 /// Reads only the status line and headers of a response, leaving the
@@ -136,17 +123,8 @@ pub fn read_response_with_limits<R: BufRead>(reader: &mut R, limits: Limits) -> 
 /// full head, or a protocol-specific variant on malformed input.
 pub fn read_response_head<R: BufRead>(reader: &mut R) -> Result<Response> {
     let head = read_head(reader, Limits::default().max_head_bytes)?;
-    let mut lines = head.lines();
-    let status_line = lines
-        .next()
-        .ok_or_else(|| HttpError::InvalidStatusLine(String::new()))?;
-    let (status, reason) = parse_status_line(status_line)?;
-    let headers = parse_headers(lines)?;
-    let mut builder = Response::builder(status).reason(reason);
-    for (name, value) in headers.iter() {
-        builder = builder.header(name, value);
-    }
-    Ok(builder.build())
+    let (status, reason, headers) = parse_response_head(&head)?;
+    Ok(Response::from_parts(status, reason, headers, Bytes::new()))
 }
 
 /// Incrementally reads the chunks of a `Transfer-Encoding: chunked`
@@ -215,158 +193,202 @@ impl<R: BufRead> ChunkReader<R> {
 ///
 /// The body is written with an explicit `Content-Length`; any
 /// `Transfer-Encoding` header is dropped because the body is already
-/// fully buffered.
+/// fully buffered. The head goes to `writer` piece by piece and
+/// `writer` is flushed at the end, so hand in something that buffers
+/// (a `BufWriter`, a `Vec<u8>`) rather than a bare socket.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
 pub fn write_request<W: Write>(writer: &mut W, request: &Request) -> Result<()> {
-    let mut head = String::with_capacity(128);
-    head.push_str(request.method().as_str());
-    head.push(' ');
-    head.push_str(if request.target().is_empty() {
-        "/"
-    } else {
-        request.target()
-    });
-    head.push(' ');
-    head.push_str(HTTP_VERSION);
-    head.push_str("\r\n");
-    write_headers(&mut head, request.headers(), request.body().len());
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
+    write_request_for_host(writer, request, None)
+}
+
+/// [`write_request`], adding `Host: {default_host}` when one is given
+/// and the request names no host of its own.
+pub(crate) fn write_request_for_host<W: Write>(
+    writer: &mut W,
+    request: &Request,
+    default_host: Option<&str>,
+) -> Result<()> {
+    let target = match request.target() {
+        "" => "/",
+        target => target,
+    };
+    for part in [request.method().as_str(), " ", target, " ", HTTP_VERSION] {
+        writer.write_all(part.as_bytes())?;
+    }
+    writer.write_all(b"\r\n")?;
+    write_headers(writer, request.headers(), request.body().len())?;
+    if let Some(host) = default_host.filter(|_| !request.headers().contains(names::HOST)) {
+        write_header(writer, names::HOST, host)?;
+    }
+    writer.write_all(b"\r\n")?;
     writer.write_all(request.body())?;
     writer.flush()?;
     Ok(())
 }
 
-/// Serializes `response` to `writer` as HTTP/1.1.
+/// Serializes `response` to `writer` as HTTP/1.1, framed and written
+/// the way [`write_request`] does.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `writer`.
 pub fn write_response<W: Write>(writer: &mut W, response: &Response) -> Result<()> {
-    let mut head = String::with_capacity(128);
-    head.push_str(HTTP_VERSION);
-    head.push(' ');
-    head.push_str(&response.status().to_string());
-    head.push(' ');
-    head.push_str(response.reason());
-    head.push_str("\r\n");
-    write_headers(&mut head, response.headers(), response.body().len());
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
+    write_status_line(writer, response.status(), response.reason())?;
+    write_headers(writer, response.headers(), response.body().len())?;
+    writer.write_all(b"\r\n")?;
     writer.write_all(response.body())?;
     writer.flush()?;
     Ok(())
 }
 
-fn write_headers(head: &mut String, headers: &HeaderMap, body_len: usize) {
+pub(crate) fn write_status_line<W: Write>(
+    writer: &mut W,
+    status: StatusCode,
+    reason: &str,
+) -> std::io::Result<()> {
+    writer.write_all(HTTP_VERSION.as_bytes())?;
+    write!(writer, " {} ", status.as_u16())?;
+    writer.write_all(reason.as_bytes())?;
+    writer.write_all(b"\r\n")
+}
+
+pub(crate) fn write_header<W: Write>(
+    writer: &mut W,
+    name: &str,
+    value: &str,
+) -> std::io::Result<()> {
+    for part in [name, ": ", value, "\r\n"] {
+        writer.write_all(part.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// Writes `headers` with exactly one `Content-Length`, stating
+/// `body_len`, and without `Transfer-Encoding`.
+fn write_headers<W: Write>(
+    writer: &mut W,
+    headers: &HeaderMap,
+    body_len: usize,
+) -> std::io::Result<()> {
     let mut wrote_content_length = false;
     for (name, value) in headers.iter() {
-        if name.eq_ignore_ascii_case("transfer-encoding") {
+        if name.eq_ignore_ascii_case(names::TRANSFER_ENCODING) {
             continue;
         }
-        if name.eq_ignore_ascii_case("content-length") {
-            if wrote_content_length {
-                continue;
-            }
+        if !name.eq_ignore_ascii_case(names::CONTENT_LENGTH) {
+            write_header(writer, name, value)?;
+        } else if !wrote_content_length {
             wrote_content_length = true;
-            head.push_str("Content-Length: ");
-            head.push_str(&body_len.to_string());
-            head.push_str("\r\n");
-            continue;
+            write!(writer, "Content-Length: {body_len}\r\n")?;
         }
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
     }
     if !wrote_content_length {
-        head.push_str("Content-Length: ");
-        head.push_str(&body_len.to_string());
-        head.push_str("\r\n");
+        write!(writer, "Content-Length: {body_len}\r\n")?;
     }
+    Ok(())
+}
+
+/// Where the search for the blank line that ends a head stands after
+/// the bytes seen so far. A line ends at LF; a CR before it is optional
+/// (bare-LF clients are tolerated).
+#[derive(Clone, Copy)]
+enum HeadScan {
+    /// Inside a line that has content.
+    InLine,
+    /// Just after an LF: the current line is empty so far.
+    AfterLf,
+    /// After an LF and a CR: an LF now ends the head.
+    AfterLfCr,
+}
+
+/// Advances `scan` over `chunk`; returns the offset just past the
+/// head's final LF if the head ends inside `chunk`.
+fn find_head_end(scan: &mut HeadScan, chunk: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while at < chunk.len() {
+        match (*scan, chunk[at]) {
+            (HeadScan::InLine, _) => {
+                at += chunk[at..].iter().position(|&byte| byte == b'\n')?;
+                *scan = HeadScan::AfterLf;
+            }
+            (HeadScan::AfterLf | HeadScan::AfterLfCr, b'\n') => return Some(at + 1),
+            (HeadScan::AfterLf, b'\r') => *scan = HeadScan::AfterLfCr,
+            _ => *scan = HeadScan::InLine,
+        }
+        at += 1;
+    }
+    None
 }
 
 /// Reads bytes up to and including the blank line terminating the
 /// message head, returning the head without the final blank line.
+///
+/// The terminator is searched for in the reader's own buffer and each
+/// byte is copied once; `scan` carries a terminator that straddles two
+/// refills. `limit` counts the terminator.
 fn read_head<R: BufRead>(reader: &mut R, limit: usize) -> Result<String> {
-    let mut head: Vec<u8> = Vec::with_capacity(256);
+    let mut head: Vec<u8> = Vec::new();
+    let mut scan = HeadScan::InLine;
     loop {
         let available = reader.fill_buf()?;
         if available.is_empty() {
-            if head.is_empty() {
-                return Err(HttpError::ConnectionClosed);
-            }
             return Err(HttpError::ConnectionClosed);
         }
-        // Look for terminator across the already-consumed tail plus
-        // the new buffer.
-        let mut consumed = 0;
-        let mut done = false;
-        for &byte in available {
-            head.push(byte);
-            consumed += 1;
-            if head.len() > limit {
-                return Err(HttpError::HeadTooLarge { limit });
-            }
-            if head.ends_with(b"\r\n\r\n") {
-                done = true;
-                break;
-            }
-            // Tolerate bare-LF clients.
-            if head.ends_with(b"\n\n") {
-                done = true;
-                break;
-            }
+        let end = find_head_end(&mut scan, available);
+        let taken = end.unwrap_or(available.len());
+        if head.len() + taken > limit {
+            return Err(HttpError::HeadTooLarge { limit });
         }
-        reader.consume(consumed);
-        if done {
+        head.extend_from_slice(&available[..taken]);
+        reader.consume(taken);
+        if end.is_some() {
             break;
         }
     }
-    // Strip the trailing blank line.
-    while head.ends_with(b"\n") || head.ends_with(b"\r") {
-        head.pop();
-    }
+    let kept = head
+        .iter()
+        .rposition(|byte| !matches!(byte, b'\r' | b'\n'))
+        .map_or(0, |last| last + 1);
+    head.truncate(kept);
     String::from_utf8(head).map_err(|_| HttpError::InvalidHeader("non-utf8 head".to_string()))
 }
 
-fn parse_request_line(line: &str) -> Result<(Method, String, String)> {
+fn parse_request_line(line: &str) -> Result<(Method, &str, &str)> {
+    let invalid = || HttpError::InvalidRequestLine(line.to_string());
     let mut parts = line.split_ascii_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidRequestLine(line.to_string()))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidRequestLine(line.to_string()))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::InvalidRequestLine(line.to_string()))?;
-    if parts.next().is_some() {
-        return Err(HttpError::InvalidRequestLine(line.to_string()));
-    }
-    let method: Method = method
-        .parse()
-        .map_err(|_| HttpError::InvalidRequestLine(line.to_string()))?;
-    Ok((method, target.to_string(), version.to_string()))
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(invalid());
+    };
+    let method: Method = method.parse().map_err(|_| invalid())?;
+    Ok((method, target, version))
 }
 
-fn parse_status_line(line: &str) -> Result<(StatusCode, String)> {
+/// Parses a response head (status line and headers) as [`read_head`]
+/// returned it.
+fn parse_response_head(head: &str) -> Result<(StatusCode, String, HeaderMap)> {
+    let mut lines = head.lines();
+    let status_line = lines
+        .next()
+        .ok_or_else(|| HttpError::InvalidStatusLine(String::new()))?;
+    let (status, reason) = parse_status_line(status_line)?;
+    Ok((status, reason.to_string(), parse_headers(lines)?))
+}
+
+fn parse_status_line(line: &str) -> Result<(StatusCode, &str)> {
     let rest = line
         .strip_prefix("HTTP/1.1 ")
         .or_else(|| line.strip_prefix("HTTP/1.0 "))
         .ok_or_else(|| HttpError::InvalidStatusLine(line.to_string()))?;
-    let (code_text, reason) = match rest.split_once(' ') {
-        Some((code, reason)) => (code, reason),
-        None => (rest, ""),
-    };
+    let (code_text, reason) = rest.split_once(' ').unwrap_or((rest, ""));
     let code: u16 = code_text
         .parse()
         .map_err(|_| HttpError::InvalidStatusLine(line.to_string()))?;
-    let status = StatusCode::new(code)?;
-    Ok((status, reason.to_string()))
+    Ok((StatusCode::new(code)?, reason))
 }
 
 fn parse_headers<'a, I: Iterator<Item = &'a str>>(lines: I) -> Result<HeaderMap> {
@@ -387,70 +409,74 @@ fn parse_headers<'a, I: Iterator<Item = &'a str>>(lines: I) -> Result<HeaderMap>
     Ok(headers)
 }
 
-fn read_body<R: BufRead>(reader: &mut R, headers: &HeaderMap, limits: Limits) -> Result<Bytes> {
-    read_body_impl(reader, headers, limits, false)
+/// What a message carries when it declares neither a length nor
+/// chunked framing.
+#[derive(Clone, Copy)]
+enum Unframed {
+    /// Nothing: requests, and responses whose status allows no body.
+    NoBody,
+    /// RFC 7230 §3.3.3's fallback for responses: the body runs until
+    /// the peer closes the connection.
+    UntilClose,
 }
 
-/// Response bodies additionally support the RFC 7230 §3.3.3 fallback:
-/// with neither `Content-Length` nor chunked framing, the body runs
-/// until the peer closes the connection.
-fn read_response_body<R: BufRead>(
+/// Reads the body `headers` frame and leaves them stating its length:
+/// a parsed message's `Content-Length` equals `body.len()` whichever
+/// way the body arrived. A single `Content-Length` stays as received;
+/// chunked, duplicated-length and read-until-close bodies get one
+/// written.
+fn read_body<R: BufRead>(
     reader: &mut R,
-    headers: &HeaderMap,
+    headers: &mut HeaderMap,
     limits: Limits,
+    unframed: Unframed,
 ) -> Result<Bytes> {
-    read_body_impl(reader, headers, limits, true)
-}
-
-fn read_body_impl<R: BufRead>(
-    reader: &mut R,
-    headers: &HeaderMap,
-    limits: Limits,
-    until_close_fallback: bool,
-) -> Result<Bytes> {
-    if headers.is_chunked() {
-        return read_chunked_body(reader, limits.max_body_bytes);
-    }
-    match headers.get("content-length") {
-        Some(value) => {
-            let len: usize = value
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::InvalidContentLength(value.to_string()))?;
-            if len > limits.max_body_bytes {
-                return Err(HttpError::BodyTooLarge {
-                    limit: limits.max_body_bytes,
-                });
-            }
-            let mut body = vec![0u8; len];
-            reader.read_exact(&mut body)?;
-            Ok(Bytes::from(body))
-        }
-        None if until_close_fallback => {
-            // Read until the peer closes, bounded by the body limit.
-            let mut body = Vec::new();
-            let mut chunk = [0u8; 8192];
-            loop {
-                match std::io::Read::read(reader, &mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        if body.len() + n > limits.max_body_bytes {
-                            return Err(HttpError::BodyTooLarge {
-                                limit: limits.max_body_bytes,
-                            });
-                        }
-                        body.extend_from_slice(&chunk[..n]);
-                    }
-                    Err(err) => return Err(err.into()),
+    let limit = limits.max_body_bytes;
+    let body = if headers.is_chunked() {
+        read_chunked_body(reader, limit)?
+    } else {
+        let mut declared = headers.get_all(names::CONTENT_LENGTH);
+        match (declared.next(), declared.next(), unframed) {
+            (Some(value), duplicate, _) => {
+                let len: usize = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| HttpError::InvalidContentLength(value.to_string()))?;
+                if len > limit {
+                    return Err(HttpError::BodyTooLarge { limit });
                 }
+                let mut body = vec![0u8; len];
+                reader.read_exact(&mut body)?;
+                if duplicate.is_none() {
+                    return Ok(Bytes::from(body));
+                }
+                body
             }
-            Ok(Bytes::from(body))
+            (None, _, Unframed::NoBody) => return Ok(Bytes::new()),
+            (None, _, Unframed::UntilClose) => read_until_close(reader, limit)?,
         }
-        None => Ok(Bytes::new()),
+    };
+    headers.insert(names::CONTENT_LENGTH, body.len().to_string());
+    Ok(Bytes::from(body))
+}
+
+fn read_until_close<R: BufRead>(reader: &mut R, limit: usize) -> Result<Vec<u8>> {
+    let mut body = Vec::new();
+    loop {
+        let available = reader.fill_buf()?;
+        let len = available.len();
+        if len == 0 {
+            return Ok(body);
+        }
+        if body.len() + len > limit {
+            return Err(HttpError::BodyTooLarge { limit });
+        }
+        body.extend_from_slice(available);
+        reader.consume(len);
     }
 }
 
-fn read_chunked_body<R: BufRead>(reader: &mut R, limit: usize) -> Result<Bytes> {
+fn read_chunked_body<R: BufRead>(reader: &mut R, limit: usize) -> Result<Vec<u8>> {
     let mut body: Vec<u8> = Vec::new();
     loop {
         let line = read_line(reader)?;
@@ -465,7 +491,7 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limit: usize) -> Result<Bytes> 
                     break;
                 }
             }
-            return Ok(Bytes::from(body));
+            return Ok(body);
         }
         if body.len() + size > limit {
             return Err(HttpError::BodyTooLarge { limit });
@@ -528,6 +554,35 @@ mod tests {
     fn parse_bare_lf_head() {
         let req = parse_req(b"GET / HTTP/1.1\nHost: y\n\n").unwrap();
         assert_eq!(req.headers().get("host"), Some("y"));
+    }
+
+    #[test]
+    fn parse_mixed_line_ends() {
+        for raw in [
+            &b"GET / HTTP/1.1\nHost: y\n\r\nrest"[..],
+            b"GET / HTTP/1.1\r\nHost: y\r\n\nrest",
+        ] {
+            let mut reader = BufReader::new(raw);
+            let req = read_request(&mut reader).unwrap();
+            assert_eq!(req.headers().get("host"), Some("y"));
+            assert_eq!(reader.buffer(), b"rest");
+        }
+    }
+
+    #[test]
+    fn parse_head_split_inside_its_terminator() {
+        use std::io::Read;
+        let raw = b"GET / HTTP/1.1\r\nHost: y\r\n\r\nrest";
+        for cut in raw.len() - 9..raw.len() - 4 {
+            // `chain` refills at the cut, so the terminator arrives in
+            // two pieces.
+            let mut reader = BufReader::new(raw[..cut].chain(&raw[cut..]));
+            let req = read_request(&mut reader).unwrap();
+            assert_eq!(req.headers().get("host"), Some("y"), "cut at {cut}");
+            let mut rest = String::new();
+            reader.read_to_string(&mut rest).unwrap();
+            assert_eq!(rest, "rest", "cut at {cut}");
+        }
     }
 
     #[test]
@@ -596,6 +651,35 @@ mod tests {
     }
 
     #[test]
+    fn parse_keeps_a_single_content_length_as_received() {
+        let req =
+            parse_req(b"POST /p HTTP/1.1\r\nX-A: 1\r\ncontent-length: 005\r\n\r\nhello").unwrap();
+        assert_eq!(&req.body()[..], b"hello");
+        let headers: Vec<_> = req.headers().iter().collect();
+        assert_eq!(headers, vec![("X-A", "1"), ("content-length", "005")]);
+    }
+
+    #[test]
+    fn parse_collapses_duplicate_content_lengths() {
+        // The first one frames the body, as it always did.
+        let req =
+            parse_req(b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 9\r\n\r\nhello")
+                .unwrap();
+        assert_eq!(&req.body()[..], b"hello");
+        assert_eq!(
+            req.headers().get_all("content-length").collect::<Vec<_>>(),
+            vec!["5"]
+        );
+    }
+
+    #[test]
+    fn parse_request_without_length_has_no_body_and_no_header() {
+        let req = parse_req(b"GET / HTTP/1.1\r\nHost: x\r\n\r\nnot a body").unwrap();
+        assert!(req.body().is_empty());
+        assert!(!req.headers().contains("content-length"));
+    }
+
+    #[test]
     fn parse_truncated_body_is_connection_closed() {
         let err = parse_req(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nab").unwrap_err();
         assert!(matches!(err, HttpError::ConnectionClosed));
@@ -635,6 +719,7 @@ mod tests {
         let resp = parse_resp(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap();
         assert_eq!(resp.status(), StatusCode::NO_CONTENT);
         assert!(resp.body().is_empty());
+        assert_eq!(resp.headers().get_int("content-length"), Some(0));
         let resp = parse_resp(b"HTTP/1.1 304 Not Modified\r\n\r\n").unwrap();
         assert!(resp.body().is_empty());
     }
@@ -732,6 +817,27 @@ mod tests {
         let mut buf = Vec::new();
         write_request(&mut buf, &req).unwrap();
         assert!(buf.starts_with(b"GET / HTTP/1.1\r\n"));
+    }
+
+    #[test]
+    fn write_adds_the_default_host_only_when_none_is_named() {
+        let mut buf = Vec::new();
+        write_request_for_host(&mut buf, &Request::get("/"), Some("svc:80")).unwrap();
+        assert_eq!(
+            parse_req(&buf).unwrap().headers().get("host"),
+            Some("svc:80")
+        );
+
+        let named = Request::builder(Method::Get, "/")
+            .header("host", "own")
+            .build();
+        buf.clear();
+        write_request_for_host(&mut buf, &named, Some("svc:80")).unwrap();
+        let hosts = parse_req(&buf).unwrap();
+        assert_eq!(
+            hosts.headers().get_all("host").collect::<Vec<_>>(),
+            vec!["own"]
+        );
     }
 
     #[test]

@@ -102,20 +102,19 @@ impl HeaderMap {
     /// the position of the first occurrence (or appending if absent).
     pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
         let name = name.into();
-        let value = value.into();
-        let mut replaced = false;
-        self.entries.retain_mut(|(k, v)| {
-            if k.eq_ignore_ascii_case(&name) {
-                if replaced {
-                    return false;
-                }
-                replaced = true;
-                *v = value.clone();
+        let matches = |k: &str| k.eq_ignore_ascii_case(&name);
+        let Some(first) = self.entries.iter().position(|(k, _)| matches(k)) else {
+            self.entries.push((name, value.into()));
+            return;
+        };
+        self.entries[first].1 = value.into();
+        let mut at = first + 1;
+        while at < self.entries.len() {
+            if matches(&self.entries[at].0) {
+                self.entries.remove(at);
+            } else {
+                at += 1;
             }
-            true
-        });
-        if !replaced {
-            self.entries.push((name, value));
         }
     }
 

@@ -48,6 +48,22 @@ impl Request {
         }
     }
 
+    /// Assembles a request the codec read off the wire; `headers` must
+    /// already state `body`'s length the way [`Request::set_body`] would.
+    pub(crate) fn from_parts(
+        method: Method,
+        target: String,
+        headers: HeaderMap,
+        body: Bytes,
+    ) -> Request {
+        Request {
+            method,
+            target,
+            headers,
+            body,
+        }
+    }
+
     /// Convenience constructor for a bodiless `GET` request.
     pub fn get(target: impl Into<String>) -> Request {
         Request::builder(Method::Get, target).build()
@@ -218,6 +234,22 @@ impl Response {
                 headers: HeaderMap::new(),
                 body: Bytes::new(),
             },
+        }
+    }
+
+    /// Assembles a response the codec read off the wire; `headers` must
+    /// already state `body`'s length the way [`Response::set_body`] would.
+    pub(crate) fn from_parts(
+        status: StatusCode,
+        reason: String,
+        headers: HeaderMap,
+        body: Bytes,
+    ) -> Response {
+        Response {
+            status,
+            reason,
+            headers,
+            body,
         }
     }
 

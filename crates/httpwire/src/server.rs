@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crate::codec::{read_request_with_limits, write_response, Limits};
+use crate::codec::{
+    read_request_with_limits, write_header, write_response, write_status_line, Limits,
+};
 use crate::error::HttpError;
 use crate::message::{Request, Response};
 use crate::pool::ThreadPool;
@@ -334,7 +336,10 @@ fn serve_connection(
 ) -> Result<()> {
     stream.set_read_timeout(config.read_timeout)?;
     stream.set_nodelay(true)?;
+    // One reader and one writer for the connection's whole lifetime:
+    // every reply — full, 400 or streamed — goes through `writer`.
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return Ok(());
@@ -345,7 +350,6 @@ fn serve_connection(
             Err(err) if err.is_connection_error() => return Ok(()),
             Err(_) => {
                 // Malformed input: answer 400 and close.
-                let mut writer = BufWriter::new(stream.try_clone()?);
                 let _ = write_response(&mut writer, &Response::error(StatusCode::BAD_REQUEST));
                 return Ok(());
             }
@@ -364,7 +368,6 @@ fn serve_connection(
                     // read the response.
                     response.set_body("");
                 }
-                let mut writer = BufWriter::new(stream.try_clone()?);
                 write_response(&mut writer, &response)?;
                 if close {
                     return Ok(());
@@ -375,7 +378,6 @@ fn serve_connection(
                 // producer may block indefinitely (live tails), so
                 // clear the read timeout's influence by never reading
                 // again and close once the producer returns.
-                let mut writer = BufWriter::new(stream.try_clone()?);
                 write_stream_head(&mut writer, &body)?;
                 if !is_head {
                     let mut sink = ChunkSink {
@@ -397,21 +399,11 @@ fn serve_connection(
 /// caller headers, then `Transfer-Encoding: chunked` and
 /// `Connection: close` framing.
 fn write_stream_head<W: std::io::Write>(writer: &mut W, body: &StreamingBody) -> Result<()> {
-    let mut head = String::with_capacity(128);
-    head.push_str(crate::message::HTTP_VERSION);
-    head.push(' ');
-    head.push_str(&body.status.to_string());
-    head.push(' ');
-    head.push_str(body.status.canonical_reason());
-    head.push_str("\r\n");
+    write_status_line(writer, body.status, body.status.canonical_reason())?;
     for (name, value) in body.headers.iter() {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write_header(writer, name, value)?;
     }
-    head.push_str("Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n");
-    writer.write_all(head.as_bytes())?;
+    writer.write_all(b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n")?;
     writer.flush()?;
     Ok(())
 }

@@ -550,7 +550,7 @@ fn process_message(request: Request, route: &RouteState, inner: &Inner) -> Optio
     // this call's parent; a fresh span ID identifies the call itself.
     let (span_id, parent_id) = if inner.tracing {
         let parent = request.span_id().map(Name::from);
-        (Some(Name::from(crate::rng::mint_span_id())), parent)
+        (Some(crate::rng::mint_span_id()), parent)
     } else {
         (None, None)
     };
@@ -619,7 +619,7 @@ fn process_message(request: Request, route: &RouteState, inner: &Inner) -> Optio
 
     // --- Forward upstream -------------------------------------------
     let upstream = pick_upstream(route);
-    let mut forwarded = prepare_forwarded(&request);
+    let mut forwarded = prepare_forwarded(request);
     if let Some(span) = &span_id {
         // The upstream (and any service behind it) sees this call's
         // span as the current span; the caller's span rides along as
@@ -808,13 +808,12 @@ fn pick_upstream(route: &RouteState) -> Option<SocketAddr> {
     Some(route.upstreams[index])
 }
 
-/// Clones the request for forwarding, stripping hop-by-hop headers so
-/// the upstream client re-derives them.
-fn prepare_forwarded(request: &Request) -> Request {
-    let mut forwarded = request.clone();
-    forwarded.headers_mut().remove(header_names::HOST);
-    forwarded.headers_mut().remove(header_names::CONNECTION);
-    forwarded
+/// Turns the received request into the one to forward, stripping
+/// hop-by-hop headers so the upstream client re-derives them.
+fn prepare_forwarded(mut request: Request) -> Request {
+    request.headers_mut().remove(header_names::HOST);
+    request.headers_mut().remove(header_names::CONNECTION);
+    request
 }
 
 /// Replaces every occurrence of `search` in `body` with `replace`.
@@ -905,7 +904,7 @@ mod tests {
             .header("Connection", "close")
             .header("X-Keep", "1")
             .build();
-        let fwd = prepare_forwarded(&req);
+        let fwd = prepare_forwarded(req);
         assert!(!fwd.headers().contains("host"));
         assert!(!fwd.headers().contains("connection"));
         assert_eq!(fwd.headers().get("x-keep"), Some("1"));

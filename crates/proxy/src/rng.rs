@@ -17,6 +17,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use gremlin_store::Name;
+
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 static NEXT_THREAD_SALT: AtomicU64 = AtomicU64::new(0);
@@ -65,14 +67,19 @@ pub(crate) fn entropy_seed() -> u64 {
 /// Mints a span identifier: 64 bits from this thread's dedicated
 /// SplitMix64 stream, rendered as 16 lowercase hex digits
 /// (Dapper/Zipkin convention). Lock-free; never blocks.
-pub(crate) fn mint_span_id() -> String {
+pub(crate) fn mint_span_id() -> Name {
     let id = SPAN_STATE.with(|state| {
         let mut s = state.get();
         let id = splitmix64(&mut s);
         state.set(s);
         id
     });
-    format!("{id:016x}")
+    // Rendered on the stack: this runs once per proxied call.
+    let mut hex = [0u8; 16];
+    for (place, digit) in hex.iter_mut().rev().enumerate() {
+        *digit = b"0123456789abcdef"[(id >> (4 * place)) as usize & 0xf];
+    }
+    Name::from(std::str::from_utf8(&hex).expect("hex digits are ASCII"))
 }
 
 /// Draws one Bernoulli sample with the given probability from this
@@ -148,6 +155,15 @@ mod tests {
             assert_eq!(id.len(), 16, "span id {id:?}");
             assert!(id.bytes().all(|b| b.is_ascii_hexdigit()));
             assert!(seen.insert(id), "duplicate span id");
+        }
+    }
+
+    #[test]
+    fn span_ids_render_as_zero_padded_lowercase_hex() {
+        for _ in 0..1_000 {
+            let id = mint_span_id();
+            let value = u64::from_str_radix(&id, 16).unwrap();
+            assert_eq!(id.as_str(), format!("{value:016x}"));
         }
     }
 

@@ -674,7 +674,7 @@ fn cmd_trace(args: &[String]) -> Result<String, Box<dyn Error>> {
 fn cmd_tail(args: &[String]) -> Result<String, Box<dyn Error>> {
     use gremlin::http::codec::{read_response_head, write_request, ChunkReader};
     use gremlin::http::{Method, Request};
-    use std::io::BufReader;
+    use std::io::{BufReader, BufWriter};
     use std::net::TcpStream;
 
     let addr: SocketAddr = positional(args, 0)?.parse()?;
@@ -687,8 +687,11 @@ fn cmd_tail(args: &[String]) -> Result<String, Box<dyn Error>> {
         None => "/tail".to_string(),
     };
 
-    let mut stream = TcpStream::connect(addr)?;
-    write_request(&mut stream, &Request::builder(Method::Get, path).build())?;
+    let stream = TcpStream::connect(addr)?;
+    write_request(
+        &mut BufWriter::new(&stream),
+        &Request::builder(Method::Get, path).build(),
+    )?;
     let mut reader = BufReader::new(stream);
     let head = read_response_head(&mut reader)?;
     if !head.status().is_success() {
