@@ -64,7 +64,7 @@ use gremlin_store::{now_micros, EdgeBaseline, Micros};
 use crate::error::CoreError;
 use crate::graph::AppGraph;
 use crate::ledger::{cells_for_scenario, CellKey, CoverageLedger, LedgerEntry, RunOutcome};
-use crate::monitor::{MonitorSpec, StreamingAssertion};
+use crate::monitor::MonitorSpec;
 use crate::recipe::{RecipeReport, RecipeRun, TestContext};
 use crate::scenarios::Scenario;
 
@@ -138,26 +138,7 @@ impl CampaignRecipe {
         }
         if let Some(spec) = &self.monitor {
             for assertion in &spec.assertions {
-                match assertion {
-                    StreamingAssertion::RequestRateAtLeast { src, dst, .. }
-                    | StreamingAssertion::ErrorRateAtMost { src, dst, .. }
-                    | StreamingAssertion::AtMostRequests { src, dst, .. }
-                    | StreamingAssertion::StatusAtLeast { src, dst, .. }
-                    | StreamingAssertion::StatusAtMost { src, dst, .. }
-                    | StreamingAssertion::AnomalousEdge { src, dst } => {
-                        edges.insert((src.clone(), dst.clone()));
-                    }
-                    StreamingAssertion::LatencySlo { service, .. }
-                    | StreamingAssertion::HasTimeouts { service, .. } => {
-                        // Service-scoped: claim every graph edge
-                        // touching the service, in either direction.
-                        for (src, dst) in graph.edges() {
-                            if src == *service || dst == *service {
-                                edges.insert((src, dst));
-                            }
-                        }
-                    }
-                }
+                edges.extend(assertion.scope().edges(graph));
             }
         }
         Ok(edges)
@@ -553,7 +534,7 @@ mod tests {
     use crate::anomaly::AnomalyConfig;
     use crate::dispatch::CampaignDispatcher;
     use crate::ledger::append_campaign_entries;
-    use crate::monitor::MonitorSpec;
+    use crate::monitor::{MonitorSpec, StreamingAssertion};
     use crate::testutil::{ctx_over, fan_ctx, FakeAgent};
     use gremlin_store::EventStore;
     use std::sync::Arc;

@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use gremlin_store::{Event, EventStore, Micros, Pattern, Query};
 
+use crate::assertion::{Assertion, Fold};
 use crate::graph::AppGraph;
 
 /// Which view of the observations an assertion computes over (the
@@ -317,6 +318,28 @@ impl AssertionChecker {
             .query(&Query::edge(src, dst).with_id_pattern(pattern.clone()))
     }
 
+    /// Checks `assertion` over the flows matching `pattern`: one
+    /// borrowed read of the assertion's scope, fed to its
+    /// [`Fold`] event by event and closed once — a live monitor's
+    /// window that happens to cover the whole log. The read's span,
+    /// last timestamp minus first, is what a rate is measured over. A
+    /// read with nothing to judge the assertion on is inconclusive and
+    /// fails, the detail saying what was missing.
+    pub fn check(&self, assertion: &Assertion, pattern: &Pattern) -> Check {
+        let mut fold = Fold::new(assertion.clone());
+        let (held, details) = self.store.read(&assertion.query(pattern), |events| {
+            for event in events {
+                fold.feed(event);
+            }
+            let span = match (events.first(), events.last()) {
+                (Some(first), Some(last)) => last.timestamp_us - first.timestamp_us,
+                _ => 0,
+            };
+            fold.close(Duration::from_micros(span))
+        });
+        Check::new(assertion.to_string(), held == Some(true), details)
+    }
+
     /// `HasTimeouts(Src, MaxLatency)` (Table 3): every reply `src`
     /// produced for its upstream callers arrived within
     /// `max_latency`.
@@ -324,29 +347,12 @@ impl AssertionChecker {
     /// Requires the deployment to observe inbound traffic of `src`
     /// (e.g. via an ingress agent for edge services).
     pub fn has_timeouts(&self, src: &str, max_latency: Duration, pattern: &Pattern) -> Check {
-        let name = format!("HasTimeouts({src}, {max_latency:?})");
-        let replies = self.store.query(&Query {
-            dst: Some(src.to_string()),
-            kind: gremlin_store::KindFilter::Replies,
-            id_pattern: Some(pattern.clone()),
-            ..Query::default()
-        });
-        if replies.is_empty() {
-            return Check::new(name, false, "no replies from the service were observed");
-        }
-        let latencies = reply_latency(&replies, View::Observed);
-        let max = latencies.iter().max().copied().unwrap_or_default();
-        let slow = latencies.iter().filter(|l| **l > max_latency).count();
-        Check::new(
-            name,
-            slow == 0,
-            format!(
-                "{} replies observed, max latency {:?}, {} over the limit",
-                latencies.len(),
-                max,
-                slow
-            ),
-        )
+        let service = src.to_string();
+        let assertion = Assertion::HasTimeouts {
+            service,
+            max_latency,
+        };
+        self.check(&assertion, pattern)
     }
 
     /// `HasBoundedRetries(Src, Dst, MaxTries)` (Table 3): when a call
@@ -362,10 +368,10 @@ impl AssertionChecker {
     /// logic was never exercised.
     ///
     /// The paper's §4.2 sketch — an aggregate
-    /// `Combine(CheckStatus(…), AtMostRequests(…))` chain — is
-    /// available as
-    /// [`AssertionChecker::has_bounded_retries_with`]; it assumes a
-    /// single test flow per evaluation window.
+    /// `Combine(CheckStatus(…), AtMostRequests(…))` chain, meaningful
+    /// when a single test flow is evaluated per window — is spelled
+    /// with [`combine`] and [`CombineStep`] over
+    /// [`AssertionChecker::get_edge_events`].
     pub fn has_bounded_retries(
         &self,
         src: &str,
@@ -373,102 +379,13 @@ impl AssertionChecker {
         max_tries: usize,
         pattern: &Pattern,
     ) -> Check {
-        let name = format!("HasBoundedRetries({src}, {dst}, {max_tries})");
-        let events = self.get_edge_events(src, dst, pattern);
-        if events.is_empty() {
-            return Check::new(name, false, "no traffic observed on the edge");
-        }
-        let mut flows: std::collections::BTreeMap<&str, (usize, usize)> =
-            std::collections::BTreeMap::new();
-        for event in &events {
-            let Some(id) = event.request_id.as_deref() else {
-                continue;
-            };
-            let entry = flows.entry(id).or_insert((0, 0));
-            match event.status() {
-                None => entry.0 += 1, // a request
-                Some(status) if status == 0 || (500..600).contains(&status) => entry.1 += 1,
-                Some(_) => {}
-            }
-        }
-        let failed_flows: Vec<(&&str, &(usize, usize))> = flows
-            .iter()
-            .filter(|(_, (_, failures))| *failures > 0)
-            .collect();
-        if failed_flows.is_empty() {
-            return Check::new(
-                name,
-                false,
-                "no failed replies observed; retry logic never exercised",
-            );
-        }
-        let worst = failed_flows
-            .iter()
-            .max_by_key(|(_, (requests, _))| *requests)
-            .expect("non-empty");
-        let violations = failed_flows
-            .iter()
-            .filter(|(_, (requests, _))| *requests > max_tries)
-            .count();
-        Check::new(
-            name,
-            violations == 0,
-            format!(
-                "{} failing flow(s); worst flow {} sent {} request(s) (budget {}); {} violation(s)",
-                failed_flows.len(),
-                worst.0,
-                worst.1 .0,
-                max_tries,
-                violations
-            ),
-        )
-    }
-
-    /// The paper's §4.2 reference sketch of `HasBoundedRetries`, with
-    /// every knob exposed: after `failures` replies with `error`, at
-    /// most `max_tries` requests within `window` — an aggregate
-    /// `Combine(CheckStatus(error, failures), AtMostRequests(window,
-    /// max_tries))` over the interleaved edge events. Meaningful when
-    /// a single test flow is evaluated per window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn has_bounded_retries_with(
-        &self,
-        src: &str,
-        dst: &str,
-        error: u16,
-        failures: usize,
-        window: Duration,
-        max_tries: usize,
-        pattern: &Pattern,
-    ) -> Check {
-        let name = format!("HasBoundedRetries({src}, {dst}, {max_tries})");
-        let events = self.get_edge_events(src, dst, pattern);
-        if events.is_empty() {
-            return Check::new(name, false, "no traffic observed on the edge");
-        }
-        let steps = [
-            CombineStep::CheckStatus {
-                status: error,
-                num_match: failures,
-                view: View::Observed,
-            },
-            CombineStep::AtMostRequests {
-                tdelta: window,
-                view: View::Observed,
-                num: max_tries,
-            },
-        ];
-        let passed = combine(&events, &steps);
-        let total_requests = num_requests(&events, None, View::Observed);
-        let total_errors = events.iter().filter(|e| e.status() == Some(error)).count();
-        Check::new(
-            name,
-            passed,
-            format!(
-                "{total_requests} requests and {total_errors} {error}-replies observed; \
-                 after {failures} failures at most {max_tries} requests allowed in {window:?}"
-            ),
-        )
+        let (src, dst) = (src.to_string(), dst.to_string());
+        let assertion = Assertion::BoundedRetries {
+            src,
+            dst,
+            max_tries,
+        };
+        self.check(&assertion, pattern)
     }
 
     /// `HasCircuitBreaker(Src, Dst, Threshold, Tdelta,
@@ -484,54 +401,14 @@ impl AssertionChecker {
         success_threshold: usize,
         pattern: &Pattern,
     ) -> Check {
-        let name = format!("HasCircuitBreaker({src}, {dst}, {threshold}, {tdelta:?})");
-        let events = self.get_edge_events(src, dst, pattern);
-        if events.is_empty() {
-            return Check::new(name, false, "no traffic observed on the edge");
-        }
-        // Locate the `threshold`-th failed reply (5xx or TCP-level 0).
-        let mut failures = 0;
-        let mut trip_index = None;
-        for (index, event) in events.iter().enumerate() {
-            if let Some(status) = event.status() {
-                if status == 0 || (500..600).contains(&status) {
-                    failures += 1;
-                    if failures == threshold {
-                        trip_index = Some(index);
-                        break;
-                    }
-                }
-            }
-        }
-        let Some(trip_index) = trip_index else {
-            return Check::new(
-                name,
-                false,
-                format!("only {failures} failed replies observed, breaker never challenged"),
-            );
+        let assertion = Assertion::CircuitBreaker {
+            src: src.to_string(),
+            dst: dst.to_string(),
+            threshold,
+            tdelta,
+            success_threshold,
         };
-        let trip_time = events[trip_index].timestamp_us;
-        let window_end = trip_time.saturating_add(tdelta.as_micros() as Micros);
-        let calls_during_open = events[trip_index + 1..]
-            .iter()
-            .filter(|e| e.kind.is_request())
-            .filter(|e| e.timestamp_us > trip_time && e.timestamp_us < window_end)
-            .count();
-        let resumed = events[trip_index + 1..]
-            .iter()
-            .filter(|e| e.kind.is_request())
-            .filter(|e| e.timestamp_us >= window_end)
-            .count();
-        let passed = calls_during_open == 0;
-        Check::new(
-            name,
-            passed,
-            format!(
-                "tripped after {threshold} failures; {calls_during_open} calls during the \
-                 {tdelta:?} open window (expected 0); {resumed} calls after \
-                 (success threshold {success_threshold})"
-            ),
-        )
+        self.check(&assertion, pattern)
     }
 
     /// `HasLatencySlo(Service, Quantile, Bound)` — an extension
@@ -546,32 +423,12 @@ impl AssertionChecker {
         bound: Duration,
         pattern: &Pattern,
     ) -> Check {
-        let name = format!(
-            "HasLatencySlo({service}, p{:.0} <= {bound:?})",
-            quantile * 100.0
-        );
-        let replies = self.store.query(&Query {
-            dst: Some(service.to_string()),
-            kind: gremlin_store::KindFilter::Replies,
-            id_pattern: Some(pattern.clone()),
-            ..Query::default()
-        });
-        if replies.is_empty() {
-            return Check::new(name, false, "no replies from the service were observed");
-        }
-        let mut latencies = reply_latency(&replies, View::Observed);
-        latencies.sort();
-        let rank = ((quantile * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        let measured = latencies[rank - 1];
-        Check::new(
-            name,
-            measured <= bound,
-            format!(
-                "measured p{:.0} = {measured:?} over {} replies",
-                quantile * 100.0,
-                latencies.len()
-            ),
-        )
+        let assertion = Assertion::LatencySlo {
+            service: service.to_string(),
+            quantile,
+            bound,
+        };
+        self.check(&assertion, pattern)
     }
 
     /// `HasFallback(Src, Primary, Secondary)` — an extension check
@@ -587,48 +444,20 @@ impl AssertionChecker {
         secondary: &str,
         pattern: &Pattern,
     ) -> Check {
-        let name = format!("HasFallback({src}, {primary} -> {secondary})");
-        let primary_replies = self.get_replies(src, primary, pattern);
-        let failed_flows: Vec<&str> = primary_replies
-            .iter()
-            .filter(|event| {
-                matches!(event.status(), Some(0))
-                    || matches!(event.status(), Some(status) if (500..600).contains(&status))
-            })
-            .filter_map(|event| event.request_id.as_deref())
-            .collect();
-        if failed_flows.is_empty() {
-            return Check::new(
-                name,
-                false,
-                "no failed primary calls observed; fallback never exercised",
-            );
-        }
-        let secondary_requests = self.get_requests(src, secondary, pattern);
-        let mut missing = 0;
-        for flow in &failed_flows {
-            let fell_back = secondary_requests
-                .iter()
-                .any(|event| event.request_id.as_deref() == Some(*flow));
-            if !fell_back {
-                missing += 1;
-            }
-        }
-        Check::new(
-            name,
-            missing == 0,
-            format!(
-                "{} flow(s) saw primary failures; {} did not fall back to {secondary}",
-                failed_flows.len(),
-                missing
-            ),
-        )
+        let assertion = Assertion::Fallback {
+            src: src.to_string(),
+            primary: primary.to_string(),
+            secondary: secondary.to_string(),
+        };
+        self.check(&assertion, pattern)
     }
 
     /// `HasBulkHead(Src, SlowDst, Rate)` (Table 3): while `slow_dst`
     /// is degraded, `src` keeps calling each of its *other*
     /// dependencies (from `graph`) at a rate of at least
-    /// `min_rate` requests/second.
+    /// `min_rate` requests/second — one
+    /// [`Assertion::RequestRateAtLeast`] per other dependency, all of
+    /// which must hold.
     pub fn has_bulkhead(
         &self,
         graph: &AppGraph,
@@ -638,27 +467,27 @@ impl AssertionChecker {
         pattern: &Pattern,
     ) -> Check {
         let name = format!("HasBulkHead({src}, {slow_dst}, {min_rate} req/s)");
-        let others: Vec<String> = graph
+        let others: Vec<Check> = graph
             .dependencies(src)
             .into_iter()
             .filter(|dst| dst != slow_dst)
+            .map(|dst| {
+                let src = src.to_string();
+                self.check(
+                    &Assertion::RequestRateAtLeast { src, dst, min_rate },
+                    pattern,
+                )
+            })
             .collect();
         if others.is_empty() {
             return Check::new(name, false, "service has no other dependencies to protect");
         }
-        let mut details = Vec::new();
-        let mut passed = true;
-        for dst in &others {
-            let requests = self.get_requests(src, dst, pattern);
-            let rate = request_rate(&requests);
-            // NaN (impossible here) must count as a failure, so
-            // compare for the passing condition explicitly.
-            if rate < min_rate || rate.is_nan() {
-                passed = false;
-            }
-            details.push(format!("{dst}: {rate:.1} req/s"));
-        }
-        Check::new(name, passed, details.join(", "))
+        let details: Vec<&str> = others.iter().map(|check| check.details.as_str()).collect();
+        Check::new(
+            name,
+            others.iter().all(|check| check.passed),
+            details.join(", "),
+        )
     }
 }
 

@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
+pub mod assertion;
 pub mod autogen;
 pub mod campaign;
 pub mod chaos;
@@ -73,6 +74,7 @@ pub mod timeutil;
 pub mod trace;
 
 pub use anomaly::{drift_z, AnomalyAlert, AnomalyConfig, AnomalyScore, AnomalyScorer, EdgeState};
+pub use assertion::{Assertion, Fold, Scope};
 pub use campaign::{
     execute_recipe, plan_waves, CampaignRecipe, CampaignReport, CampaignSpec, RecipeOutcome,
     DEFAULT_MAX_IN_FLIGHT, STEER_FLAKY_THRESHOLD,

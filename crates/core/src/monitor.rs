@@ -7,12 +7,14 @@
 //! events incrementally (via
 //! [`HealthMonitor`](gremlin_store::HealthMonitor), which itself uses
 //! only [`EventStore::events_after`](gremlin_store::EventStore::events_after)
-//! — never full-store scans), folds them into per-assertion window
-//! accumulators, and closes **event-time windows** as timestamps
-//! advance past the window boundary.
+//! — never full-store scans), feeds them to each assertion's
+//! [`Fold`] — the same fold a post-hoc
+//! [`AssertionChecker::check`](crate::AssertionChecker::check) closes
+//! once over the whole log — and closes it once per **event-time
+//! window** as timestamps advance past the window boundary.
 //!
-//! Each streaming assertion ([`StreamingAssertion`]) carries a
-//! verdict state machine:
+//! Each assertion ([`StreamingAssertion`], the engine's
+//! [`Assertion`]) carries a verdict state machine:
 //!
 //! ```text
 //! Pending ──▶ Passing ◀──▶ Failing ──▶ Violated   (final)
@@ -44,10 +46,11 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use gremlin_store::{EdgeBaseline, EdgeHealth, Event, EventStore, HealthMonitor, Micros};
-use gremlin_telemetry::{Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
+use gremlin_store::{EdgeBaseline, EdgeHealth, EventStore, HealthMonitor, Micros};
+use gremlin_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::anomaly::{AnomalyAlert, AnomalyConfig, AnomalyScore, AnomalyScorer, EdgeState};
+use crate::assertion::{Assertion, Fold};
 use crate::checker::Check;
 
 /// The state of one streaming assertion's verdict machine.
@@ -83,148 +86,9 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// A streaming variant of the checker vocabulary (Table 3), evaluated
-/// per event-time window instead of post-hoc over the full store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum StreamingAssertion {
-    /// Windowed `HasLatencySlo`: the `quantile` of `service`'s reply
-    /// latencies within each window stays at most `bound`.
-    LatencySlo {
-        /// Service whose replies (to upstream callers) are measured.
-        service: String,
-        /// Quantile in `0..=1`, e.g. `0.99`.
-        quantile: f64,
-        /// Upper bound on the windowed quantile.
-        bound: Duration,
-    },
-    /// Windowed `HasTimeouts`: every reply `service` produced within
-    /// the window arrived within `max_latency`.
-    HasTimeouts {
-        /// Service whose replies are measured.
-        service: String,
-        /// Upper bound on the worst reply in the window.
-        max_latency: Duration,
-    },
-    /// The `src -> dst` request rate within each window stays at
-    /// least `min_rate` requests/second (the live form of the
-    /// bulkhead check's `RequestRate` bound).
-    RequestRateAtLeast {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-        /// Minimum requests/second per window.
-        min_rate: f64,
-    },
-    /// The fraction of failed replies (status 0 or 5xx) on
-    /// `src -> dst` within each window stays at most `max_ratio`.
-    ErrorRateAtMost {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-        /// Maximum failed fraction in `0..=1`.
-        max_ratio: f64,
-    },
-    /// Streaming `AtMostRequests`: at most `max` requests on
-    /// `src -> dst` per window. A breach is unrecoverable for the
-    /// run — the verdict jumps straight to [`Verdict::Violated`].
-    AtMostRequests {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-        /// Maximum requests allowed in any single window.
-        max: usize,
-    },
-    /// Streaming `CheckStatus`, lower bound: the run eventually
-    /// observes at least `count` replies with `status` on
-    /// `src -> dst`. Stays `Pending` until satisfied, then flips to
-    /// `Passing`; it never fails live (only the post-hoc check can).
-    StatusAtLeast {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-        /// Status code to match.
-        status: u16,
-        /// Matches required.
-        count: usize,
-    },
-    /// Streaming `CheckStatus`, upper bound: the run observes at most
-    /// `max` replies with `status` on `src -> dst`, cumulatively.
-    /// Exceeding the budget is unrecoverable — straight to
-    /// [`Verdict::Violated`].
-    StatusAtMost {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-        /// Status code to match.
-        status: u16,
-        /// Maximum matches allowed over the whole run.
-        max: usize,
-    },
-    /// Threshold-free: the `src -> dst` edge must stay
-    /// [`EdgeState::Nominal`] against its learned baseline. Requires
-    /// [`MonitorSpec::anomaly`]; `Suspect` windows are `Failing`,
-    /// and an edge confirmed `Anomalous` is unrecoverable — straight
-    /// to [`Verdict::Violated`]. Stays `Pending` while the baseline
-    /// is warming up.
-    AnomalousEdge {
-        /// Calling service.
-        src: String,
-        /// Called service.
-        dst: String,
-    },
-}
-
-impl fmt::Display for StreamingAssertion {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamingAssertion::LatencySlo {
-                service,
-                quantile,
-                bound,
-            } => write!(
-                f,
-                "LiveLatencySlo({service}, p{:.0} <= {bound:?})",
-                quantile * 100.0
-            ),
-            StreamingAssertion::HasTimeouts {
-                service,
-                max_latency,
-            } => write!(f, "LiveHasTimeouts({service}, {max_latency:?})"),
-            StreamingAssertion::RequestRateAtLeast { src, dst, min_rate } => {
-                write!(f, "LiveRequestRate({src}, {dst}, >= {min_rate} req/s)")
-            }
-            StreamingAssertion::ErrorRateAtMost {
-                src,
-                dst,
-                max_ratio,
-            } => write!(f, "LiveErrorRate({src}, {dst}, <= {max_ratio})"),
-            StreamingAssertion::AtMostRequests { src, dst, max } => {
-                write!(f, "LiveAtMostRequests({src}, {dst}, {max})")
-            }
-            StreamingAssertion::StatusAtLeast {
-                src,
-                dst,
-                status,
-                count,
-            } => write!(f, "LiveStatusAtLeast({src}, {dst}, {status} x{count})"),
-            StreamingAssertion::StatusAtMost {
-                src,
-                dst,
-                status,
-                max,
-            } => write!(f, "LiveStatusAtMost({src}, {dst}, {status} <= {max})"),
-            StreamingAssertion::AnomalousEdge { src, dst } => {
-                write!(f, "LiveAnomalousEdge({src} -> {dst})")
-            }
-        }
-    }
-}
+/// The assertions a monitor watches are the engine's [`Assertion`]s;
+/// this is the name the `monitor:` stanza has always used for them.
+pub type StreamingAssertion = Assertion;
 
 fn default_violate_after() -> u32 {
     3
@@ -413,256 +277,27 @@ impl fmt::Display for MonitorRecord {
     }
 }
 
-/// Per-assertion window accumulator.
-struct Accum {
-    /// Cumulative latency histogram (windowed percentiles come from
-    /// snapshot deltas at window boundaries).
-    latency: LatencyHistogram,
-    /// Snapshot at the previous window close.
-    baseline: HistogramSnapshot,
-    /// Worst reply latency in the open window, microseconds.
-    worst_latency_us: u64,
-    /// Requests in the open window.
-    requests: u64,
-    /// Responses in the open window.
-    responses: u64,
-    /// Failed responses (status 0 or 5xx) in the open window.
-    errors: u64,
-    /// Cumulative status matches (for the `Status*` assertions).
-    matches: u64,
-}
-
-impl Accum {
-    fn new() -> Accum {
-        Accum {
-            latency: LatencyHistogram::new(),
-            baseline: HistogramSnapshot::empty(),
-            worst_latency_us: 0,
-            requests: 0,
-            responses: 0,
-            errors: 0,
-            matches: 0,
-        }
-    }
-
-    /// Resets the per-window fields at a window boundary.
-    fn roll(&mut self) {
-        self.baseline = self.latency.snapshot();
-        self.worst_latency_us = 0;
-        self.requests = 0;
-        self.responses = 0;
-        self.errors = 0;
-    }
-
-    /// The latency distribution of the open window.
-    fn window_latency(&self) -> HistogramSnapshot {
-        self.latency.snapshot().delta(&self.baseline)
-    }
-}
-
+/// One watched assertion: its fold, and the status the monitor reports
+/// for it.
 struct CheckState {
-    assertion: StreamingAssertion,
-    name: String,
-    verdict: Verdict,
+    fold: Fold,
+    live: LiveCheck,
     consecutive_failing: u32,
-    first_failing_at_us: Option<Micros>,
-    violated_at_us: Option<Micros>,
-    detail: String,
-    windows: u64,
-    accum: Accum,
 }
 
 impl CheckState {
-    fn new(assertion: StreamingAssertion) -> CheckState {
+    fn new(assertion: Assertion) -> CheckState {
         CheckState {
-            name: assertion.to_string(),
-            assertion,
-            verdict: Verdict::Pending,
+            live: LiveCheck {
+                name: format!("{assertion:#}"),
+                verdict: Verdict::Pending,
+                detail: String::new(),
+                windows: 0,
+                first_failing_at_us: None,
+                violated_at_us: None,
+            },
+            fold: Fold::new(assertion),
             consecutive_failing: 0,
-            first_failing_at_us: None,
-            violated_at_us: None,
-            detail: String::new(),
-            windows: 0,
-            accum: Accum::new(),
-        }
-    }
-
-    /// Folds one event into the accumulator. Returns `Some(detail)`
-    /// when the event itself causes an unrecoverable breach.
-    fn feed(&mut self, event: &Event) -> Option<String> {
-        if self.verdict.is_final() {
-            return None;
-        }
-        match &self.assertion {
-            StreamingAssertion::LatencySlo { service, .. } => {
-                if event.dst.as_str() == service {
-                    if let Some(latency) = event.observed_latency() {
-                        self.accum.latency.record(latency);
-                    }
-                }
-            }
-            StreamingAssertion::HasTimeouts { service, .. } => {
-                if event.dst.as_str() == service {
-                    if let Some(latency) = event.observed_latency() {
-                        self.accum.responses += 1;
-                        self.accum.worst_latency_us =
-                            self.accum.worst_latency_us.max(latency.as_micros() as u64);
-                    }
-                }
-            }
-            StreamingAssertion::RequestRateAtLeast { src, dst, .. } => {
-                if event.kind.is_request() && event.src.as_str() == src && event.dst.as_str() == dst
-                {
-                    self.accum.requests += 1;
-                }
-            }
-            StreamingAssertion::ErrorRateAtMost { src, dst, .. } => {
-                if event.src.as_str() == src && event.dst.as_str() == dst {
-                    if let Some(status) = event.status() {
-                        self.accum.responses += 1;
-                        if status == 0 || (500..600).contains(&status) {
-                            self.accum.errors += 1;
-                        }
-                    }
-                }
-            }
-            StreamingAssertion::AtMostRequests { src, dst, max } => {
-                if event.kind.is_request() && event.src.as_str() == src && event.dst.as_str() == dst
-                {
-                    self.accum.requests += 1;
-                    if self.accum.requests as usize > *max {
-                        return Some(format!(
-                            "{} request(s) in the window exceeds the budget of {max}",
-                            self.accum.requests
-                        ));
-                    }
-                }
-            }
-            // The anomaly scorer observes the event stream itself;
-            // the check state accumulates nothing.
-            StreamingAssertion::AnomalousEdge { .. } => {}
-            StreamingAssertion::StatusAtLeast {
-                src, dst, status, ..
-            }
-            | StreamingAssertion::StatusAtMost {
-                src, dst, status, ..
-            } => {
-                if event.src.as_str() == src
-                    && event.dst.as_str() == dst
-                    && event.status() == Some(*status)
-                {
-                    self.accum.matches += 1;
-                    if let StreamingAssertion::StatusAtMost { max, .. } = &self.assertion {
-                        if self.accum.matches as usize > *max {
-                            return Some(format!(
-                                "{} replies with the status exceeds the budget of {max}",
-                                self.accum.matches
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Evaluates the closing window, returning the window's verdict
-    /// (`None` when the window held no relevant observations and the
-    /// current verdict should persist).
-    fn evaluate(&mut self, window: Duration) -> Option<(bool, String)> {
-        let window_secs = window.as_secs_f64().max(1e-9);
-        match &self.assertion {
-            StreamingAssertion::LatencySlo {
-                quantile, bound, ..
-            } => {
-                let windowed = self.accum.window_latency();
-                if windowed.is_empty() {
-                    return None;
-                }
-                let measured = windowed.percentile(*quantile).unwrap_or(Duration::ZERO);
-                Some((
-                    measured <= *bound,
-                    format!(
-                        "window p{:.0} = {measured:?} over {} replies (bound {bound:?})",
-                        quantile * 100.0,
-                        windowed.count()
-                    ),
-                ))
-            }
-            StreamingAssertion::HasTimeouts { max_latency, .. } => {
-                if self.accum.responses == 0 {
-                    return None;
-                }
-                let worst = Duration::from_micros(self.accum.worst_latency_us);
-                Some((
-                    worst <= *max_latency,
-                    format!(
-                        "window max latency {worst:?} over {} replies (limit {max_latency:?})",
-                        self.accum.responses
-                    ),
-                ))
-            }
-            StreamingAssertion::RequestRateAtLeast { min_rate, .. } => {
-                let rate = self.accum.requests as f64 / window_secs;
-                Some((
-                    rate >= *min_rate,
-                    format!("window rate {rate:.1} req/s (min {min_rate})"),
-                ))
-            }
-            StreamingAssertion::ErrorRateAtMost { max_ratio, .. } => {
-                if self.accum.responses == 0 {
-                    return None;
-                }
-                let ratio = self.accum.errors as f64 / self.accum.responses as f64;
-                Some((
-                    ratio <= *max_ratio,
-                    format!(
-                        "window error rate {ratio:.3} over {} replies (max {max_ratio})",
-                        self.accum.responses
-                    ),
-                ))
-            }
-            StreamingAssertion::AtMostRequests { max, .. } => Some((
-                true,
-                format!(
-                    "{} request(s) in the window (budget {max})",
-                    self.accum.requests
-                ),
-            )),
-            StreamingAssertion::StatusAtLeast { count, .. } => {
-                if (self.accum.matches as usize) < *count {
-                    // Not yet satisfied — stay Pending rather than
-                    // alerting on an assertion only the end of the
-                    // run can settle.
-                    self.detail = format!(
-                        "{} of {count} required status matches observed",
-                        self.accum.matches
-                    );
-                    return None;
-                }
-                Some((
-                    true,
-                    format!("{} status matches (required {count})", self.accum.matches),
-                ))
-            }
-            StreamingAssertion::StatusAtMost { max, .. } => Some((
-                true,
-                format!("{} status matches (budget {max})", self.accum.matches),
-            )),
-            // Scored by `MonitorInner::apply_anomaly_verdict` at each
-            // window close, never through the generic evaluation.
-            StreamingAssertion::AnomalousEdge { .. } => None,
-        }
-    }
-
-    fn status(&self) -> LiveCheck {
-        LiveCheck {
-            name: self.name.clone(),
-            verdict: self.verdict,
-            detail: self.detail.clone(),
-            windows: self.windows,
-            first_failing_at_us: self.first_failing_at_us,
-            violated_at_us: self.violated_at_us,
         }
     }
 }
@@ -686,7 +321,7 @@ impl MonitorInner {
         detail: String,
         emitted: &mut Vec<AlertEvent>,
     ) {
-        let state = &mut self.states[index];
+        let state = &mut self.states[index].live;
         let from = state.verdict;
         state.detail.clone_from(&detail);
         if from == to {
@@ -705,7 +340,7 @@ impl MonitorInner {
         let alert = AlertEvent {
             seq: self.records.len() as u64,
             at_us,
-            check: self.states[index].name.clone(),
+            check: self.states[index].live.name.clone(),
             from,
             to,
             detail,
@@ -714,76 +349,17 @@ impl MonitorInner {
         emitted.push(alert);
     }
 
-    /// Applies a scored window to an `AnomalousEdge` assertion: the
-    /// edge state maps onto the verdict machine (`Nominal` passing,
-    /// `Suspect` failing, `Anomalous` straight to `Violated`;
-    /// `Warming` or an unseen edge stays pending).
-    fn apply_anomaly_verdict(
+    /// Closes the window ending at `end_us`: scores the anomaly
+    /// window, closes every assertion's fold over the `span` of event
+    /// time the window actually covered, and applies the verdict
+    /// transitions and the consecutive-failing escalation.
+    fn close_window(
         &mut self,
-        index: usize,
         end_us: Micros,
+        window: Duration,
+        span: Duration,
         emitted: &mut Vec<AlertEvent>,
     ) {
-        let StreamingAssertion::AnomalousEdge { src, dst } = &self.states[index].assertion else {
-            return;
-        };
-        let score = self
-            .scorer
-            .as_ref()
-            .and_then(|scorer| scorer.score(src, dst));
-        self.states[index].windows += 1;
-        let Some(score) = score else {
-            self.states[index].detail = "no traffic observed on the edge yet".to_string();
-            return;
-        };
-        if score.state == EdgeState::Warming {
-            self.states[index].detail = format!(
-                "warming up: learning the edge baseline ({} window(s) so far)",
-                score.windows
-            );
-            return;
-        }
-        let detail = format!(
-            "edge {} -> {} {}: score {:.1} (rate z {:.1}, error z {:.1}, latency z {:.1})",
-            score.src,
-            score.dst,
-            score.state,
-            score.score,
-            score.rate_z,
-            score.error_z,
-            score.latency_z
-        );
-        match score.state {
-            EdgeState::Warming => unreachable!("handled above"),
-            EdgeState::Nominal => {
-                self.states[index].consecutive_failing = 0;
-                self.transition(index, Verdict::Passing, end_us, detail, emitted);
-            }
-            EdgeState::Suspect => {
-                self.states[index].consecutive_failing += 1;
-                let escalate = self.states[index].consecutive_failing >= self.violate_after;
-                self.transition(index, Verdict::Failing, end_us, detail.clone(), emitted);
-                if escalate {
-                    let detail = format!(
-                        "{detail}; {} consecutive suspect window(s)",
-                        self.states[index].consecutive_failing
-                    );
-                    self.transition(index, Verdict::Violated, end_us, detail, emitted);
-                }
-            }
-            EdgeState::Anomalous => {
-                // A confirmed anomaly is unrecoverable for the run.
-                self.transition(index, Verdict::Failing, end_us, detail.clone(), emitted);
-                self.transition(index, Verdict::Violated, end_us, detail, emitted);
-            }
-        }
-    }
-
-    /// Closes the window ending at `end_us`: scores the anomaly
-    /// window, evaluates every assertion, applies verdict transitions
-    /// and the consecutive-failing escalation, and rolls the
-    /// accumulators.
-    fn close_window(&mut self, end_us: Micros, window: Duration, emitted: &mut Vec<AlertEvent>) {
         self.windows_closed += 1;
         if let Some(scorer) = self.scorer.as_mut() {
             for mut alert in scorer.close_window(end_us, window) {
@@ -793,42 +369,89 @@ impl MonitorInner {
         }
         for index in 0..self.states.len() {
             let state = &mut self.states[index];
-            if state.verdict.is_final() {
+            if state.live.verdict.is_final() {
                 continue;
             }
-            if matches!(state.assertion, StreamingAssertion::AnomalousEdge { .. }) {
-                self.apply_anomaly_verdict(index, end_us, emitted);
-                continue;
-            }
-            let outcome = state.evaluate(window);
-            state.windows += 1;
-            state.accum.roll();
-            let Some((passed, detail)) = outcome else {
+            state.live.windows += 1;
+            // The one assertion the scorer judges instead of the fold.
+            let (held, detail, confirmed) = match state.fold.assertion() {
+                Assertion::AnomalousEdge { src, dst } => {
+                    anomaly_outcome(self.scorer.as_ref(), src, dst)
+                }
+                _ => {
+                    let (held, detail) = state.fold.close(span);
+                    (held, detail, false)
+                }
+            };
+            let Some(held) = held else {
+                // Nothing to judge: the verdict stands, and a pending
+                // assertion says what it is waiting for.
+                if state.live.verdict == Verdict::Pending {
+                    state.live.detail = detail;
+                }
                 continue;
             };
-            if passed {
-                let state = &mut self.states[index];
+            if held {
                 state.consecutive_failing = 0;
                 self.transition(index, Verdict::Passing, end_us, detail, emitted);
-            } else {
-                let state = &mut self.states[index];
-                state.consecutive_failing += 1;
-                let escalate = state.consecutive_failing >= self.violate_after;
-                // A failing window flips Pending/Passing to Failing;
-                // the Failing transition is recorded even when the
-                // same window close escalates to Violated, so
-                // subscribers see both steps of the machine.
-                self.transition(index, Verdict::Failing, end_us, detail.clone(), emitted);
-                if escalate {
-                    let detail = format!(
-                        "{detail}; {} consecutive failing window(s)",
-                        self.states[index].consecutive_failing
-                    );
-                    self.transition(index, Verdict::Violated, end_us, detail, emitted);
-                }
+                continue;
+            }
+            state.consecutive_failing += 1;
+            let failing = state.consecutive_failing;
+            // A failing window flips Pending/Passing to Failing; the
+            // Failing transition is recorded even when the same window
+            // close escalates to Violated, so subscribers see both
+            // steps of the machine.
+            self.transition(index, Verdict::Failing, end_us, detail.clone(), emitted);
+            if confirmed {
+                self.transition(index, Verdict::Violated, end_us, detail, emitted);
+            } else if failing >= self.violate_after {
+                let detail = format!("{detail}; {failing} consecutive failing window(s)");
+                self.transition(index, Verdict::Violated, end_us, detail, emitted);
             }
         }
     }
+}
+
+/// What the anomaly scorer says about the `src -> dst` edge's latest
+/// window, in the fold's terms: `Nominal` holds, `Suspect` and
+/// `Anomalous` do not, and an edge still `Warming` or never seen is
+/// nothing to judge yet. The flag marks a confirmed anomaly, which is
+/// unrecoverable for the run.
+fn anomaly_outcome(
+    scorer: Option<&AnomalyScorer>,
+    src: &str,
+    dst: &str,
+) -> (Option<bool>, String, bool) {
+    let Some(score) = scorer.and_then(|scorer| scorer.score(src, dst)) else {
+        return (
+            None,
+            "no traffic observed on the edge yet".to_string(),
+            false,
+        );
+    };
+    if score.state == EdgeState::Warming {
+        let detail = format!(
+            "warming up: learning the edge baseline ({} window(s) so far)",
+            score.windows
+        );
+        return (None, detail, false);
+    }
+    let detail = format!(
+        "edge {} -> {} {}: score {:.1} (rate z {:.1}, error z {:.1}, latency z {:.1})",
+        score.src,
+        score.dst,
+        score.state,
+        score.score,
+        score.rate_z,
+        score.error_z,
+        score.latency_z
+    );
+    (
+        Some(score.state == EdgeState::Nominal),
+        detail,
+        score.state == EdgeState::Anomalous,
+    )
 }
 
 /// Streaming assertion engine over an [`EventStore`].
@@ -933,7 +556,9 @@ impl LiveMonitor {
         let records_before = inner.records.len();
         let mut emitted = Vec::new();
         let window = self.health.window();
+        // A zero-length window walks (and divides) as one microsecond.
         let window_us = (window.as_micros() as Micros).max(1);
+        let covered = window.max(Duration::from_micros(1));
         for event in &fresh {
             let ts = event.timestamp_us;
             inner.clock_us = inner.clock_us.max(ts);
@@ -942,7 +567,7 @@ impl LiveMonitor {
                 let mut start = start;
                 while ts >= start + window_us {
                     start += window_us;
-                    inner.close_window(start, window, &mut emitted);
+                    inner.close_window(start, window, covered, &mut emitted);
                 }
                 inner.window_start_us = Some(start);
             }
@@ -950,7 +575,11 @@ impl LiveMonitor {
                 scorer.observe(event);
             }
             for index in 0..inner.states.len() {
-                if let Some(detail) = inner.states[index].feed(event) {
+                let state = &mut inner.states[index];
+                if state.live.verdict.is_final() {
+                    continue;
+                }
+                if let Some(detail) = state.fold.feed(event) {
                     inner.transition(index, Verdict::Violated, ts, detail, &mut emitted);
                 }
             }
@@ -960,16 +589,18 @@ impl LiveMonitor {
     }
 
     /// Closes the currently open (partial) window so end-of-run
-    /// verdicts reflect the final stretch of traffic. Call after the
-    /// last [`LiveMonitor::poll`]; recipes do this in
-    /// [`RecipeRun::finish`](crate::RecipeRun::finish).
+    /// verdicts reflect the final stretch of traffic; rates are taken
+    /// over the part of the window the events covered, not its full
+    /// length. Call after the last [`LiveMonitor::poll`]; recipes do
+    /// this in [`RecipeRun::finish`](crate::RecipeRun::finish).
     pub fn finalize(&self) -> Vec<AlertEvent> {
         let mut inner = self.inner.lock();
         let records_before = inner.records.len();
         let mut emitted = Vec::new();
-        if inner.window_start_us.is_some() {
+        if let Some(start) = inner.window_start_us {
             let end = inner.clock_us;
-            inner.close_window(end, self.health.window(), &mut emitted);
+            let covered = Duration::from_micros(end.saturating_sub(start));
+            inner.close_window(end, self.health.window(), covered, &mut emitted);
             inner.window_start_us = Some(end);
         }
         self.publish(&inner, inner.records.len() - records_before);
@@ -984,7 +615,7 @@ impl LiveMonitor {
             let failing = inner
                 .states
                 .iter()
-                .filter(|s| matches!(s.verdict, Verdict::Failing | Verdict::Violated))
+                .filter(|s| matches!(s.live.verdict, Verdict::Failing | Verdict::Violated))
                 .count();
             gauge.set(failing as i64);
         }
@@ -996,7 +627,7 @@ impl LiveMonitor {
             .lock()
             .states
             .iter()
-            .map(CheckState::status)
+            .map(|state| state.live.clone())
             .collect()
     }
 
@@ -1007,7 +638,7 @@ impl LiveMonitor {
             .lock()
             .states
             .iter()
-            .any(|s| s.verdict.is_final())
+            .any(|s| s.live.verdict.is_final())
     }
 
     /// Verdict alerts recorded at or after `cursor` (an index into
@@ -1117,7 +748,7 @@ impl gremlin_proxy::MonitorSource for LiveMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gremlin_store::AppliedFault;
+    use gremlin_store::{AppliedFault, Event};
 
     fn sec(s: u64) -> Micros {
         s * 1_000_000
@@ -1320,6 +951,28 @@ mod tests {
         let alerts = monitor.finalize();
         assert_eq!(alerts.len(), 1);
         assert_eq!(monitor.verdicts()[0].verdict, Verdict::Failing);
+    }
+
+    #[test]
+    fn finalize_measures_rates_over_the_covered_part_of_the_window() {
+        let spec = MonitorSpec::new(Duration::from_secs(10)).assert(
+            StreamingAssertion::RequestRateAtLeast {
+                src: "a".into(),
+                dst: "b".into(),
+                min_rate: 5.0,
+            },
+        );
+        let (store, monitor) = monitor_with(spec);
+        // The run ends 2s into a 10s window: 21 requests over those 2s
+        // are 10.5 req/s, not the 2.1 the full window length would give.
+        for i in 0..=20 {
+            store.record_event(request(i * 100_000));
+        }
+        monitor.poll();
+        monitor.finalize();
+        let check = &monitor.verdicts()[0];
+        assert_eq!(check.verdict, Verdict::Passing, "{check}");
+        assert!(check.detail.contains("10.5 req/s"), "{check}");
     }
 
     #[test]

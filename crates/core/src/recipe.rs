@@ -720,7 +720,15 @@ mod tests {
         let (ctx, _agent) = context();
         let report = RecipeRun::new("noop", &ctx).finish();
         assert!(report.passed);
-        assert!(report.metrics_delta.is_empty());
+        // A delta carries every gauge at its current value (the store's
+        // size gauges, here); nothing that counts may have moved.
+        let moved: Vec<_> = report
+            .metrics_delta
+            .samples
+            .iter()
+            .filter(|sample| !matches!(sample.value, SampleValue::Gauge(_)))
+            .collect();
+        assert!(moved.is_empty(), "{moved:?}");
         assert!(report.to_string().contains("PASSED"));
     }
 
@@ -900,7 +908,7 @@ mod tests {
             .collect();
         assert_eq!(phases, vec!["warmup", "install", "clear"], "{phases:?}");
         let install = &timeline.annotations(0, u64::MAX)[1];
-        assert!(install.detail.contains("a -> b"), "{}", install.detail);
+        assert_eq!(install.detail, "abort a->b with 503 (p=1)");
 
         // The poll loop sampled the context's registry under `local`:
         // the staged rule shows up as a control-plane counter series.

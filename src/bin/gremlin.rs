@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gremlin::core::{
-    parse_duration, AppGraph, AssertionChecker, CampaignDispatcher, CampaignSpec,
+    parse_duration, AppGraph, Assertion, AssertionChecker, CampaignDispatcher, CampaignSpec,
     FailureOrchestrator, FlowTrace, HttpOperator, OperatorServer, OperatorTransport, Scenario,
     TestContext,
 };
@@ -405,29 +405,31 @@ fn cmd_check(args: &[String]) -> Result<String, Box<dyn Error>> {
     let checker = AssertionChecker::new(store);
     let pattern = Pattern::new(flag_value(args, "--pattern").unwrap_or("*"));
     let kind = flag_value(args, "--assert").ok_or("missing --assert <check>")?;
-    let check = match kind {
-        "timeouts" => {
-            let service = flag_value(args, "--service").ok_or("missing --service")?;
-            let max_latency = parse_duration(flag_value(args, "--max-latency").unwrap_or("1s"))?;
-            checker.has_timeouts(service, max_latency, &pattern)
-        }
-        "bounded-retries" => {
-            let src = flag_value(args, "--src").ok_or("missing --src")?;
-            let dst = flag_value(args, "--dst").ok_or("missing --dst")?;
-            let max_tries: usize = flag_value(args, "--max-tries").unwrap_or("5").parse()?;
-            checker.has_bounded_retries(src, dst, max_tries, &pattern)
-        }
-        "circuit-breaker" => {
-            let src = flag_value(args, "--src").ok_or("missing --src")?;
-            let dst = flag_value(args, "--dst").ok_or("missing --dst")?;
-            let threshold: usize = flag_value(args, "--threshold").unwrap_or("5").parse()?;
-            let window = parse_duration(flag_value(args, "--window").unwrap_or("1min"))?;
-            checker.has_circuit_breaker(src, dst, threshold, window, 1, &pattern)
-        }
+    let need = |flag: &str| {
+        flag_value(args, flag)
+            .map(str::to_string)
+            .ok_or(format!("missing {flag}"))
+    };
+    let assertion = match kind {
+        "timeouts" => Assertion::HasTimeouts {
+            service: need("--service")?,
+            max_latency: parse_duration(flag_value(args, "--max-latency").unwrap_or("1s"))?,
+        },
+        "bounded-retries" => Assertion::BoundedRetries {
+            src: need("--src")?,
+            dst: need("--dst")?,
+            max_tries: flag_value(args, "--max-tries").unwrap_or("5").parse()?,
+        },
+        "circuit-breaker" => Assertion::CircuitBreaker {
+            src: need("--src")?,
+            dst: need("--dst")?,
+            threshold: flag_value(args, "--threshold").unwrap_or("5").parse()?,
+            tdelta: parse_duration(flag_value(args, "--window").unwrap_or("1min"))?,
+            success_threshold: 1,
+        },
         "request-count" => {
-            let src = flag_value(args, "--src").ok_or("missing --src")?;
-            let dst = flag_value(args, "--dst").ok_or("missing --dst")?;
-            let requests = checker.get_requests(src, dst, &pattern);
+            let (src, dst) = (need("--src")?, need("--dst")?);
+            let requests = checker.get_requests(&src, &dst, &pattern);
             return Ok(format!(
                 "{} request(s) observed on {src} -> {dst} (pattern {pattern})",
                 requests.len()
@@ -435,6 +437,7 @@ fn cmd_check(args: &[String]) -> Result<String, Box<dyn Error>> {
         }
         other => return Err(format!("unknown assertion {other:?}").into()),
     };
+    let check = checker.check(&assertion, &pattern);
     let output = check.to_string();
     if check.passed {
         Ok(output)

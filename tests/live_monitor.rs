@@ -180,7 +180,13 @@ fn latency_slo_alerts_stream_and_recipe_aborts_early() {
         .find(|e| e["src"] == "user" && e["dst"] == "web")
         .expect("user->web edge in health matrix");
     assert!(edge["requests"].as_u64().unwrap() > 0);
-    assert!(edge["rate_rps"].as_f64().unwrap() > 0.0, "{edge}");
+    // The matrix's sliding window is the monitor's 50ms: once traffic
+    // stops, the newest event is a reply stamped at least the injected
+    // 60ms after its request, so no request is left inside the window
+    // and the windowed rate is 0 by construction. What the matrix does
+    // show of the live run is the delayed replies themselves.
+    assert!(edge["responses"].as_u64().unwrap() > 0, "{edge}");
+    assert!(edge["p50_us"].as_u64().unwrap() >= 50_000, "{edge}");
     let checks = body["checks"].as_array().expect("checks array");
     assert!(
         checks.iter().any(|c| c["name"]
