@@ -44,6 +44,7 @@ pub mod baseline;
 pub mod event;
 pub mod health;
 pub mod name;
+pub mod ndjson;
 pub mod pattern;
 pub mod query;
 pub mod spans;

@@ -34,6 +34,7 @@ use parking_lot::RwLock;
 
 use crate::event::{Event, Micros};
 use crate::name::Name;
+use crate::ndjson;
 use crate::query::Query;
 
 /// A sink that accepts observation events.
@@ -608,35 +609,35 @@ impl EventStore {
         ids
     }
 
-    /// Serializes every event as newline-delimited JSON.
+    /// Serializes every event as newline-delimited JSON
+    /// ([`ndjson::write_line`]), from one borrowed read of the log.
     ///
     /// # Errors
     ///
-    /// Returns a `serde_json::Error` if serialization fails.
+    /// None today — the line codec cannot fail; the `Result` is kept
+    /// for the callers written against the serde signature.
     pub fn export_json(&self) -> serde_json::Result<String> {
-        let mut out = String::new();
-        for event in self.snapshot() {
-            out.push_str(&serde_json::to_string(&event)?);
-            out.push('\n');
-        }
-        Ok(out)
+        let bytes = self.read(&Query::new(), |events| {
+            let mut out = Vec::new();
+            for event in events {
+                ndjson::write_line(event, &mut out);
+            }
+            out
+        });
+        String::from_utf8(bytes).map_err(serde::ser::Error::custom)
     }
 
     /// Imports newline-delimited JSON produced by
-    /// [`EventStore::export_json`].
+    /// [`EventStore::export_json`] ([`ndjson::lines`],
+    /// [`ndjson::read_line`]).
     ///
     /// # Errors
     ///
     /// Returns a `serde_json::Error` on the first malformed line.
     pub fn import_json(&self, text: &str) -> serde_json::Result<usize> {
         let mut imported = 0;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let event: Event = serde_json::from_str(line)?;
-            self.record_event(event);
+        for line in ndjson::lines(text.as_bytes()) {
+            self.record_event(ndjson::read_line(line)?);
             imported += 1;
         }
         Ok(imported)

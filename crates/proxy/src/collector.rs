@@ -20,7 +20,7 @@ use gremlin_http::{
     ConnInfo, HttpClient, HttpServer, Method, Reply, Request, Response, StatusCode, StreamingBody,
 };
 use gremlin_store::{
-    now_micros, Event, EventSink, EventStore, HealthMonitor, DEFAULT_HEALTH_WINDOW,
+    ndjson, now_micros, Event, EventSink, EventStore, HealthMonitor, DEFAULT_HEALTH_WINDOW,
 };
 use gremlin_telemetry::{
     escape_label_value, Counter, Gauge, LatencyHistogram, MetricsRegistry, SeriesKind,
@@ -359,16 +359,15 @@ fn handle_collect(
         (Method::Post, "/events") => {
             let started = Instant::now();
             metrics.batches.inc();
-            let text = String::from_utf8_lossy(request.body());
-            let mut events = Vec::new();
+            // Lines are read as bytes: one that is not UTF-8 is a parse
+            // error like any other, never repaired into an ID no flow
+            // query will match.
+            let body = request.body();
+            let mut events = Vec::with_capacity(ndjson::capacity_hint(body));
             let mut parse_errors = 0usize;
             let mut first_error: Option<String> = None;
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<Event>(line) {
+            for line in ndjson::lines(body) {
+                match ndjson::read_line(line) {
                     // An empty request ID can never match a flow
                     // query — the event would sit in the store
                     // invisible to every trace. Reject it loudly
@@ -674,6 +673,7 @@ fn tail_reply(
     let body = StreamingBody::new(StatusCode::OK, move |sink| {
         let _guard = guard;
         let mut idle_polls = 0u32;
+        let mut lines = Vec::new();
         loop {
             let (events, next) = store.events_after(cursor);
             cursor = next;
@@ -689,12 +689,12 @@ fn tail_reply(
                 continue;
             }
             idle_polls = 0;
+            // One chunk per poll; readers split on lines, not chunks.
+            lines.clear();
             for event in &events {
-                if let Ok(mut line) = serde_json::to_string(event) {
-                    line.push('\n');
-                    sink.send(line.as_bytes())?;
-                }
+                ndjson::write_line(event, &mut lines);
             }
+            sink.send(&lines)?;
         }
     })
     .header("Content-Type", "application/x-ndjson");
@@ -791,12 +791,15 @@ impl HttpEventSink {
             .name("gremlin-event-sink".to_string())
             .spawn(move || {
                 let client = HttpClient::new();
-                let mut batch: Vec<Event> = Vec::with_capacity(config.batch_size);
+                // The batch is its bytes: each event is encoded into
+                // the next request's body as it arrives.
+                let mut batch = Batch::default();
                 loop {
                     match receiver.recv_timeout(config.linger) {
                         Ok(SinkMessage::Record(event)) => {
-                            batch.push(event);
-                            if batch.len() >= config.batch_size {
+                            ndjson::write_line(&event, &mut batch.body);
+                            batch.held += 1;
+                            if batch.held >= config.batch_size {
                                 ship(&client, addr, &mut batch, &dropped_for_worker);
                             }
                         }
@@ -836,33 +839,41 @@ impl HttpEventSink {
     }
 }
 
-fn ship(client: &HttpClient, addr: SocketAddr, batch: &mut Vec<Event>, dropped: &AtomicU64) {
-    if batch.is_empty() {
+/// The events a sink worker holds between two posts, already encoded.
+#[derive(Default)]
+struct Batch {
+    /// The NDJSON body of the next `POST /events`.
+    body: Vec<u8>,
+    /// Events encoded into `body`.
+    held: usize,
+}
+
+/// Posts the batch and leaves an empty one of the same capacity.
+/// Counts as dropped what the collector did not import: on an error
+/// reply that says how many lines it kept (`{"imported":N,…}`), the
+/// rest; without such a reply — connect error, non-JSON body — all.
+fn ship(client: &HttpClient, addr: SocketAddr, batch: &mut Batch, dropped: &AtomicU64) {
+    if batch.held == 0 {
         return;
     }
-    let mut body = String::with_capacity(batch.len() * 128);
-    for event in batch.iter() {
-        match serde_json::to_string(event) {
-            Ok(line) => {
-                body.push_str(&line);
-                body.push('\n');
-            }
-            Err(_) => {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    let empty = Batch {
+        body: Vec::with_capacity(batch.body.capacity()),
+        held: 0,
+    };
+    let Batch { body, held } = std::mem::replace(batch, empty);
     let request = Request::builder(Method::Post, "/events")
         .header("Content-Type", "application/x-ndjson")
         .body(body)
         .build();
-    match client.send(addr, request) {
-        Ok(response) if response.status().is_success() => {}
-        _ => {
-            dropped.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
-    }
-    batch.clear();
+    let imported = match client.send(addr, request) {
+        Ok(response) if response.status().is_success() => return,
+        Ok(response) => serde_json::from_slice::<serde_json::Value>(response.body())
+            .ok()
+            .and_then(|reply| reply["imported"].as_u64())
+            .unwrap_or(0),
+        Err(_) => 0,
+    };
+    dropped.fetch_add((held as u64).saturating_sub(imported), Ordering::Relaxed);
 }
 
 impl EventSink for HttpEventSink {
@@ -888,7 +899,7 @@ impl Drop for HttpEventSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gremlin_store::Query;
+    use gremlin_store::{AppliedFault, Query};
 
     fn event(index: u64) -> Event {
         Event::request("a", "b", "GET", format!("/{index}"))
@@ -1036,6 +1047,263 @@ mod tests {
         assert!(metrics
             .body_str()
             .contains("gremlin_collector_dropped_events 1"));
+    }
+
+    /// One `POST /events` written by hand on its own connection: the
+    /// reply's status and body.
+    fn post_raw(addr: SocketAddr, body: &[u8]) -> (StatusCode, String) {
+        use std::io::Write;
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let head = format!(
+            "POST /events HTTP/1.1\r\nHost: collector\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body).unwrap();
+        let reply = gremlin_http::codec::read_response(&mut std::io::BufReader::new(stream))
+            .expect("the handler answered");
+        (reply.status(), reply.body_str())
+    }
+
+    fn line(event: &Event) -> Vec<u8> {
+        let mut out = Vec::new();
+        ndjson::write_line(event, &mut out);
+        out
+    }
+
+    /// A line that is not UTF-8 used to be repaired to U+FFFD, parse,
+    /// and be stored under an ID no flow query matches.
+    #[test]
+    fn invalid_utf8_is_a_parse_error_not_a_repaired_id() {
+        let store = EventStore::shared();
+        let collector = CollectorServer::start(Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let mut body = line(&event(1));
+        let mut bad = line(&event(2));
+        let at = bad.windows(6).position(|w| w == b"test-2").unwrap();
+        bad[at + 2] = 0xff;
+        body.extend_from_slice(&bad);
+
+        let (status, reply) = post_raw(collector.local_addr(), &body);
+        assert_eq!(status, StatusCode::BAD_REQUEST);
+        assert!(reply.contains("\"imported\":1"), "{reply}");
+        assert!(reply.contains("\"parse_errors\":1"), "{reply}");
+        assert!(reply.contains("\"error\":\""), "{reply}");
+        let stored = store.snapshot();
+        assert_eq!(stored.len(), 1);
+        assert!(stored.iter().all(|event| {
+            let id = event.request_id.as_deref().unwrap_or("");
+            id == "test-1" && !id.contains('\u{fffd}')
+        }));
+    }
+
+    /// Hostile writers on the collector port: whatever arrives, the
+    /// handler answers, good lines are kept, and the counters say
+    /// exactly what was posted.
+    #[test]
+    fn hostile_bodies_are_counted_and_never_take_the_handler_down() {
+        let store = EventStore::shared();
+        let collector = CollectorServer::start(Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let addr = collector.local_addr();
+        let ok = |imported: usize| (StatusCode::OK, format!("{{\"imported\":{imported}}}"));
+        let rejected = |imported: usize, errors: usize, (status, reply): (StatusCode, String)| {
+            assert_eq!(status, StatusCode::BAD_REQUEST, "{reply}");
+            let counts = format!("{{\"imported\":{imported},\"parse_errors\":{errors},");
+            assert!(reply.starts_with(&counts), "{reply}");
+        };
+
+        // Nothing, and nothing but line ends.
+        assert_eq!(post_raw(addr, b""), ok(0));
+        assert_eq!(post_raw(addr, &[b'\n'; 4096]), ok(0));
+        assert_eq!(post_raw(addr, b"\r\n \t\r\n\n"), ok(0));
+
+        // CRLF line ends, an event with an empty request ID among them
+        // (well-formed, dropped, counted), and a last line without `\n`.
+        let mut body = Vec::new();
+        for event in [event(1), event(2).with_request_id(""), event(3)] {
+            body.extend_from_slice(line(&event).strip_suffix(b"\n").unwrap());
+            body.extend_from_slice(b"\r\n");
+        }
+        body.extend_from_slice(line(&event(4)).strip_suffix(b"\n").unwrap());
+        assert_eq!(post_raw(addr, &body), ok(3));
+
+        // NUL bytes: a line of them, and one inside a string.
+        let mut body = b"\0\0\0\n".to_vec();
+        body.extend_from_slice(&line(&event(5)));
+        let mut raw_nul = line(&event(6).with_agent("a-b"));
+        let at = raw_nul.windows(3).position(|w| w == b"a-b").unwrap();
+        raw_nul[at + 1] = 0;
+        body.extend_from_slice(&raw_nul);
+        rejected(1, 2, post_raw(addr, &body));
+
+        // One 1 MiB line with no newline: of letters, then of brackets
+        // (nesting far past any parser's depth limit).
+        rejected(0, 1, post_raw(addr, &vec![b'x'; 1 << 20]));
+        rejected(0, 1, post_raw(addr, &vec![b'['; 1 << 20]));
+
+        // A valid batch cut mid-line, `Content-Length` covering the cut.
+        let body: Vec<u8> = [event(7), event(8), event(9)]
+            .iter()
+            .flat_map(line)
+            .collect();
+        rejected(2, 1, post_raw(addr, &body[..body.len() - 40]));
+
+        // The collector still answers, on a new connection, with
+        // counters that add up to the above.
+        let stats = HttpClient::new()
+            .send(addr, Request::get("/stats"))
+            .unwrap();
+        let stats: serde_json::Value = serde_json::from_str(&stats.body_str()).unwrap();
+        assert_eq!(stats["events"], 6, "{stats}");
+        assert_eq!(stats["appended"], 6, "{stats}");
+        assert_eq!(stats["parse_errors"], 5, "{stats}");
+        assert_eq!(stats["dropped"], 1, "{stats}");
+        assert_eq!(stats["batches"], 8, "{stats}");
+        assert_eq!(store.len(), 6);
+    }
+
+    /// A stand-in collector: answers the `n`th `POST` it receives with
+    /// `replies[n]` (status line and body), one connection each, and
+    /// returns the request bodies.
+    fn canned_collector(
+        replies: Vec<(&'static str, &'static str)>,
+    ) -> (SocketAddr, thread::JoinHandle<Vec<Vec<u8>>>) {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let mut bodies = Vec::new();
+            for (status, body) in replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+                let request = gremlin_http::codec::read_request(&mut reader).unwrap();
+                assert_eq!(request.path(), "/events");
+                assert_eq!(
+                    request.headers().get("content-type"),
+                    Some("application/x-ndjson")
+                );
+                bodies.push(request.body().to_vec());
+                let reply = format!(
+                    "HTTP/1.1 {status}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                stream.write_all(reply.as_bytes()).unwrap();
+            }
+            bodies
+        });
+        (addr, server)
+    }
+
+    /// On an error reply the sink counts as dropped what the collector
+    /// did not keep, not the whole batch; a reply that does not say
+    /// how much was kept loses the batch.
+    #[test]
+    fn sink_counts_as_dropped_only_what_was_not_imported() {
+        let (addr, server) = canned_collector(vec![
+            (
+                "400 Bad Request",
+                "{\"imported\":3,\"parse_errors\":2,\"error\":\"expected value\"}",
+            ),
+            ("200 OK", "{\"imported\":5}"),
+            ("500 Internal Server Error", "out of memory"),
+            ("400 Bad Request", "{\"imported\":9}"),
+        ]);
+        let sink = HttpEventSink::new(addr);
+        let mut expected = 0;
+        for (batch, lost) in [(0, 2), (1, 0), (2, 5), (3, 0)] {
+            for index in 0..5 {
+                sink.record(event(batch * 5 + index));
+            }
+            sink.flush();
+            expected += lost;
+            assert_eq!(sink.dropped(), expected, "after batch {batch}");
+        }
+        let bodies = server.join().unwrap();
+        assert!(bodies.iter().all(|body| ndjson::lines(body).count() == 5));
+    }
+
+    /// The NDJSON a sink puts on the wire, byte for byte: the body the
+    /// sink of the commit before the line codec posted for this burst
+    /// (`serde_json::to_string` per event), captured then and kept in
+    /// `tests/golden/`. Old sinks and new collectors, and the reverse,
+    /// read each other.
+    #[test]
+    fn sink_puts_the_golden_burst_on_the_wire() {
+        let golden: &[u8] = include_bytes!("../tests/golden/sink_burst.ndjson");
+        let (addr, server) = canned_collector(vec![("200 OK", "{\"imported\":14}")]);
+        let sink = HttpEventSink::new(addr);
+        let burst = golden_burst();
+        for event in &burst {
+            sink.record(event.clone());
+        }
+        sink.flush();
+        assert_eq!(sink.dropped(), 0);
+        let bodies = server.join().unwrap();
+        assert_eq!(
+            bodies[0],
+            golden,
+            "sent: {}",
+            String::from_utf8_lossy(&bodies[0])
+        );
+        // And a collector reads the golden bytes back into the burst.
+        let store = EventStore::shared();
+        let collector = CollectorServer::start(Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let (status, reply) = post_raw(collector.local_addr(), golden);
+        assert_eq!(
+            (status, reply.as_str()),
+            (StatusCode::OK, "{\"imported\":14}")
+        );
+        let (stored, _) = store.events_after(0);
+        assert_eq!(stored, burst);
+    }
+
+    /// What agents emit and what they might: paired calls with span
+    /// IDs, every fault, a reset without a status, absent IDs and
+    /// names, and strings that need escaping.
+    fn golden_burst() -> Vec<Event> {
+        let call = |index: u64| {
+            let id = format!("test-{index:04}");
+            let span = format!("{:016x}", 0x00aa_11bb_22cc_33ddu64 + index);
+            let request = Event::request("web", "db", "GET", format!("/item/{index}?q=a b"))
+                .with_request_id(id.as_str())
+                .with_timestamp(1_700_000_000_000_000 + index * 1_000)
+                .with_agent("agent-web-0")
+                .with_span_id(span.as_str());
+            let response = Event::response("web", "db", 200, Duration::from_micros(1_500 + index))
+                .with_request_id(id.as_str())
+                .with_timestamp(1_700_000_000_000_500 + index * 1_000)
+                .with_agent("agent-web-0")
+                .with_span_id(span.as_str())
+                .with_parent_id("ffee00aa11bb22cc");
+            [request, response]
+        };
+        let mut events: Vec<Event> = (0..4).flat_map(call).collect();
+        let [request, response] = call(4);
+        events.push(request.with_fault(AppliedFault::Delay { delay_us: 250_000 }));
+        events.push(response.with_fault(AppliedFault::Abort { status: 503 }));
+        let [request, _] = call(5);
+        events.push(request.with_fault(AppliedFault::Modify));
+        events.push(
+            Event::response("web", "db", 0, Duration::ZERO)
+                .with_request_id("test-0005")
+                .with_timestamp(u64::MAX)
+                .with_fault(AppliedFault::AbortReset),
+        );
+        events.push(Event::request("", "b", "POST", "/").with_timestamp(0));
+        events.push(
+            Event::request(
+                "caf\u{e9}",
+                "\u{65e5}\u{672c}-\u{1f600}",
+                "GET",
+                "/q?x=\"a\\b\"\n\t\u{1}\u{7f}",
+            )
+            .with_request_id("test-\"quoted\"")
+            .with_timestamp(7)
+            .with_agent("agent\r\n"),
+        );
+        events
     }
 
     #[test]
@@ -1313,11 +1581,19 @@ mod tests {
             let chunk = chunks.next_chunk().unwrap().expect("stream ended");
             seen.push_str(&String::from_utf8_lossy(&chunk));
         }
-        let metrics = collector
-            .registry()
-            .snapshot()
-            .counter_value("gremlin_collector_alerts_streamed_total", &[]);
-        assert_eq!(metrics, Some(2));
+        // The producer counts a line after writing it; give it the
+        // moment between the two.
+        let streamed = || {
+            collector
+                .registry()
+                .snapshot()
+                .counter_value("gremlin_collector_alerts_streamed_total", &[])
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while streamed() != Some(2) && Instant::now() < deadline {
+            thread::yield_now();
+        }
+        assert_eq!(streamed(), Some(2));
     }
 
     #[test]
