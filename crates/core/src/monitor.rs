@@ -6,8 +6,8 @@
 //! [`LiveMonitor`] here is the streaming counterpart. It consumes
 //! events incrementally (via
 //! [`HealthMonitor`](gremlin_store::HealthMonitor), which itself uses
-//! only [`EventStore::events_after`](gremlin_store::EventStore::events_after)
-//! — never full-store scans), feeds them to each assertion's
+//! only [`EventStore::read_after`](gremlin_store::EventStore::read_after)
+//! — never full-store scans, never copies), feeds them to each assertion's
 //! [`Fold`] — the same fold a post-hoc
 //! [`AssertionChecker::check`](crate::AssertionChecker::check) closes
 //! once over the whole log — and closes it once per **event-time
@@ -550,16 +550,21 @@ impl LiveMonitor {
     /// matrix and the assertion windows, closes any completed
     /// windows, and returns the verdict transitions this poll
     /// produced.
+    ///
+    /// The events are folded where they lie: this monitor's lock is
+    /// taken first, then the health matrix's, then the store's read
+    /// locks (the order [`EventStore::read_after`] documents), and
+    /// nothing is copied out of the store.
     pub fn poll(&self) -> Vec<AlertEvent> {
-        let fresh = self.health.poll();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let records_before = inner.records.len();
         let mut emitted = Vec::new();
         let window = self.health.window();
         // A zero-length window walks (and divides) as one microsecond.
         let window_us = (window.as_micros() as Micros).max(1);
         let covered = window.max(Duration::from_micros(1));
-        for event in &fresh {
+        self.health.poll_with(|event| {
             let ts = event.timestamp_us;
             inner.clock_us = inner.clock_us.max(ts);
             let start = *inner.window_start_us.get_or_insert(ts);
@@ -583,8 +588,8 @@ impl LiveMonitor {
                     inner.transition(index, Verdict::Violated, ts, detail, &mut emitted);
                 }
             }
-        }
-        self.publish(&inner, inner.records.len() - records_before);
+        });
+        self.publish(inner, inner.records.len() - records_before);
         emitted
     }
 

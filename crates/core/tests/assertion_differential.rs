@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gremlin_core::{
-    reply_latency, request_rate, AppGraph, AssertionChecker, Check, LiveMonitor, MonitorSpec,
-    StreamingAssertion, Verdict, View,
+    reply_latency, request_rate, AnomalyConfig, AppGraph, AssertionChecker, Check, LiveMonitor,
+    MonitorSpec, StreamingAssertion, Verdict, View,
 };
 use gremlin_store::{AppliedFault, Event, EventStore, KindFilter, Micros, Pattern, Query};
 
@@ -684,6 +684,85 @@ fn a_batch_check_is_the_live_verdict_of_one_window_over_the_same_events() {
     // Both sides of every variant the fold judges were compared.
     assert_eq!(compared.len(), 2 * 10 + 1, "{compared:?}");
     assert!(compared.values().all(|count| *count >= 5), "{compared:?}");
+}
+
+/// The live monitor folds events borrowed from the store, inside the
+/// tail read. On every seeded log, arriving singly and in batches with
+/// polls at random points: it raises the alerts, poll by poll, and ends
+/// with the verdicts, the window count, the record log and the edge
+/// matrix of a reference monitor that is fed *copies* — the
+/// `events_after` clones of the same cursors, re-recorded into a store
+/// of its own — and of a monitor that polls the live store once at the
+/// end (where polls cut the stream does not matter).
+#[test]
+fn a_live_monitor_folding_borrowed_events_matches_one_fed_copies() {
+    let (mut alerts_seen, mut windows_seen, mut cases) = (0usize, 0u64, 0u64);
+    for_each_case(|case| {
+        cases += 1;
+        let rng = &mut SplitMix(0xB0_0000 + cases);
+        let log = case.store.events_after(0).0;
+        let spec = || {
+            let spec = case.assertions().into_iter().fold(
+                MonitorSpec::new(Duration::from_millis(500)).violate_after(2),
+                MonitorSpec::assert,
+            );
+            if case.threshold % 2 == 0 {
+                spec.anomaly(AnomalyConfig::default().warmup_windows(2))
+            } else {
+                spec
+            }
+        };
+        let store = Arc::new(EventStore::with_shards(case.store.shard_count()));
+        let copies = Arc::new(EventStore::with_shards(1));
+        let live = LiveMonitor::new(Arc::clone(&store), spec());
+        let reference = LiveMonitor::new(Arc::clone(&copies), spec());
+        let at_end = LiveMonitor::new(Arc::clone(&store), spec());
+        let mut cursor = 0;
+        let mut alerts = Vec::new();
+        let mut poll_both = |context: &str| {
+            let (fresh, next) = store.events_after(cursor);
+            cursor = next;
+            copies.record_batch(fresh);
+            let raised = live.poll();
+            assert_eq!(raised, reference.poll(), "{} {context}", case.label);
+            alerts.extend(raised);
+        };
+        let mut rest = &log[..];
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(1 + rng.below(rest.len() as u64) as usize % 6);
+            rest = later;
+            if now.len() == 1 {
+                store.record_event(now[0].clone());
+            } else {
+                store.record_batch(now.to_vec());
+            }
+            if rng.chance(40) {
+                poll_both("mid-log");
+            }
+        }
+        poll_both("at the end");
+        poll_both("with nothing new");
+        let closing = live.finalize();
+        assert_eq!(closing, reference.finalize(), "{} finalize", case.label);
+        alerts.extend(closing);
+        let mut expected = at_end.poll();
+        expected.extend(at_end.finalize());
+        for (other, name) in [(&reference, "copies"), (&at_end, "one poll")] {
+            let at = format!("{} vs {name}", case.label);
+            assert_eq!(live.verdicts(), other.verdicts(), "{at}");
+            assert_eq!(live.windows_closed(), other.windows_closed(), "{at}");
+            assert_eq!(live.records_after(0), other.records_after(0), "{at}");
+            assert_eq!(live.edge_health(), other.edge_health(), "{at}");
+            assert_eq!(live.anomaly_scores(), other.anomaly_scores(), "{at}");
+            assert_eq!(live.health().clock_us(), other.health().clock_us(), "{at}");
+        }
+        assert_eq!(alerts, expected, "{}", case.label);
+        alerts_seen += alerts.len();
+        windows_seen += live.windows_closed();
+    });
+    // The logs did close windows and flip verdicts.
+    assert!(windows_seen > 1_000, "{windows_seen} windows");
+    assert!(alerts_seen > 1_000, "{alerts_seen} alerts");
 }
 
 // ---------------------------------------------------------------------------

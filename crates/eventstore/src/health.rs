@@ -3,9 +3,9 @@
 //! The Assertion Checker (paper §4.2) evaluates expectations *after* a
 //! recipe finishes by querying the full store. The [`HealthMonitor`]
 //! here is the streaming counterpart: it consumes new events
-//! incrementally through [`EventStore::events_after`] — never a full
-//! store scan — and maintains a per-`(src, dst)` **edge health
-//! matrix**: request/response/error totals, fault-injection hit
+//! incrementally through [`EventStore::read_after`] — never a full
+//! store scan, never a copy — and maintains a per-`(src, dst)` **edge
+//! health matrix**: request/response/error totals, fault-injection hit
 //! counts, latency percentiles (via `gremlin-telemetry` histograms),
 //! and sliding-window request and error rates.
 //!
@@ -173,11 +173,12 @@ struct HealthInner {
 
 /// Streaming per-edge health aggregation over an [`EventStore`].
 ///
-/// Every [`HealthMonitor::poll`] consumes exactly the events recorded
-/// since the previous poll (via [`EventStore::events_after`]) and
-/// folds them into the matrix; it never rescans the store. Layered
-/// consumers — the live assertion engine in `gremlin-core` — receive
-/// the same fresh batch from `poll` so one cursor drives everything.
+/// Every [`HealthMonitor::poll_with`] consumes exactly the events
+/// recorded since the previous poll (via [`EventStore::read_after`])
+/// and folds them into the matrix; it never rescans the store. Layered
+/// consumers — the live assertion engine in `gremlin-core` — are handed
+/// the same fresh events, borrowed, so one cursor drives everything;
+/// [`HealthMonitor::poll`] returns them as copies.
 ///
 /// # Examples
 ///
@@ -253,30 +254,48 @@ impl HealthMonitor {
         self.inner.lock().cursor
     }
 
-    /// Consumes every event recorded since the last poll, updates the
-    /// matrix, and returns the fresh batch (in arrival order) for
-    /// layered consumers.
-    pub fn poll(&self) -> Vec<Event> {
-        let mut inner = self.inner.lock();
-        let (fresh, next) = self.store.events_after(inner.cursor);
+    /// Consumes every event recorded since the last poll: folds each
+    /// into the matrix and hands it, borrowed and in arrival order, to
+    /// `visit` for layered consumers.
+    ///
+    /// `visit` runs inside [`EventStore::read_after`], under this
+    /// monitor's lock and the store's read locks, so its rule applies:
+    /// no writing to or re-entering the store, and no call back into
+    /// this monitor.
+    pub fn poll_with(&self, mut visit: impl FnMut(&Event)) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let (fresh, next) = self.store.read_after(inner.cursor, |fresh| {
+            // One matrix lookup per run of consecutive events on an edge.
+            for run in fresh.chunk_by(|a, b| a.src == b.src && a.dst == b.dst) {
+                let stats = inner
+                    .edges
+                    .entry((run[0].src.clone(), run[0].dst.clone()))
+                    .or_insert_with(EdgeStats::new);
+                for &event in run {
+                    inner.clock_us = inner.clock_us.max(event.timestamp_us);
+                    stats.observe(event);
+                    visit(event);
+                }
+            }
+            fresh.len()
+        });
         inner.cursor = next;
-        if fresh.is_empty() {
-            return fresh;
+        if fresh > 0 {
+            let horizon = inner
+                .clock_us
+                .saturating_sub(self.window.as_micros() as Micros);
+            for stats in inner.edges.values_mut() {
+                stats.prune(horizon);
+            }
         }
-        for event in &fresh {
-            inner.clock_us = inner.clock_us.max(event.timestamp_us);
-            inner
-                .edges
-                .entry((event.src.clone(), event.dst.clone()))
-                .or_insert_with(EdgeStats::new)
-                .observe(event);
-        }
-        let horizon = inner
-            .clock_us
-            .saturating_sub(self.window.as_micros() as Micros);
-        for stats in inner.edges.values_mut() {
-            stats.prune(horizon);
-        }
+    }
+
+    /// [`HealthMonitor::poll_with`] for callers that keep the batch:
+    /// copies of the fresh events, in arrival order.
+    pub fn poll(&self) -> Vec<Event> {
+        let mut fresh = Vec::new();
+        self.poll_with(|event| fresh.push(event.clone()));
         fresh
     }
 
@@ -456,7 +475,7 @@ mod tests {
 
     #[test]
     fn monitor_never_runs_store_queries() {
-        // The streaming contract: only events_after, never query().
+        // The streaming contract: only the tail read, never query().
         let registry = gremlin_telemetry::MetricsRegistry::new();
         let store = EventStore::shared();
         store.enable_telemetry(&registry);

@@ -137,7 +137,22 @@ fn write_string(out: &mut Vec<u8>, text: &str) {
 /// the fast reader abstained on: malformed JSON, invalid UTF-8, a
 /// missing field, a value of the wrong type or out of range.
 pub fn read_line(line: &[u8]) -> Result<Event, serde_json::Error> {
-    match read_fast(line) {
+    read_line_after(line, None)
+}
+
+/// [`read_line`] for a line that follows `prev` in a batch: the same
+/// event, but where `request_id`, `src`, `dst` or `agent` carry the
+/// text `prev` carries, the [`Name`] is a clone of `prev`'s instead of
+/// a fresh allocation. A batch comes from one agent and a response
+/// follows its request, so most names of most lines are shared and the
+/// store holds one copy of each per batch. The serde fallback does not
+/// look at `prev`.
+///
+/// # Errors
+///
+/// As [`read_line`].
+pub fn read_line_after(line: &[u8], prev: Option<&Event>) -> Result<Event, serde_json::Error> {
+    match read_fast_after(line, prev) {
         Some(event) => Ok(event),
         None => serde_json::from_slice(line),
     }
@@ -153,6 +168,10 @@ pub fn read_line(line: &[u8]) -> Result<Event, serde_json::Error> {
 /// Callers want [`read_line`]; this is public so that a test can tell
 /// an answer from an abstention.
 pub fn read_fast(line: &[u8]) -> Option<Event> {
+    read_fast_after(line, None)
+}
+
+fn read_fast_after(line: &[u8], prev: Option<&Event>) -> Option<Event> {
     let mut cursor = Cursor { bytes: line, at: 0 };
     // Each field is `None` until its key is seen; a second sighting
     // abstains. `request_id`, `fault` and the span IDs may be `null`.
@@ -187,17 +206,27 @@ pub fn read_fast(line: &[u8]) -> Option<Event> {
         return None;
     }
     // Only the span IDs may be left out (`#[serde(default)]`).
+    let prev_id = prev.and_then(|prev| prev.request_id.as_ref());
     Some(Event {
         timestamp_us: timestamp_us?,
-        request_id: request_id?.map(Name::from),
-        src: Name::from(src?),
-        dst: Name::from(dst?),
+        request_id: request_id?.map(|id| name_like(prev_id, id)),
+        src: name_like(prev.map(|prev| &prev.src), src?),
+        dst: name_like(prev.map(|prev| &prev.dst), dst?),
         kind: kind?,
         fault: fault?,
-        agent: Name::from(agent?),
+        agent: name_like(prev.map(|prev| &prev.agent), agent?),
         span_id: span_id.flatten().map(Name::from),
         parent_id: parent_id.flatten().map(Name::from),
     })
+}
+
+/// `text` as a [`Name`]: a clone of `prev` when it holds the same
+/// text, a new name otherwise.
+fn name_like(prev: Option<&Name>, text: &str) -> Name {
+    match prev {
+        Some(prev) if prev.as_str() == text => prev.clone(),
+        _ => Name::from(text),
+    }
 }
 
 /// Fills `slot`, abstaining if the key was already seen.

@@ -99,6 +99,11 @@ struct StoredEvent {
     /// Global insertion sequence number; ties on timestamp sort in
     /// insertion order, matching the old stable-sort behavior.
     seq: u64,
+    /// The highest `seq` in this shard up to and including this slot.
+    /// Non-decreasing along the vector (and still an upper bound after
+    /// `prune_before` removes slots), so a tail read can binary-search
+    /// for where `seq >= cursor` can first occur.
+    seq_high: u64,
     event: Event,
 }
 
@@ -164,7 +169,52 @@ impl ShardInner {
         if let Some(id) = &event.request_id {
             self.ids.entry(id.clone()).or_default().push(index);
         }
-        self.events.push(StoredEvent { seq, event });
+        let seq_high = self
+            .events
+            .last()
+            .map_or(seq, |last| last.seq_high.max(seq));
+        self.events.push(StoredEvent {
+            seq,
+            seq_high,
+            event,
+        });
+    }
+
+    /// Appends one batch's share of this shard, building the indexes
+    /// [`ShardInner::append`] would build event by event, with one
+    /// lookup per *run* of consecutive events on the same edge or in
+    /// the same flow instead of one per event: a batch comes from one
+    /// agent, and a request and its response are adjacent.
+    fn append_batch(&mut self, bucket: Vec<(u64, Event)>) {
+        let first = self.events.len();
+        let mut slot = first;
+        for run in bucket.chunk_by(|(_, a), (_, b)| a.src == b.src && a.dst == b.dst) {
+            let (_, head) = &run[0];
+            self.edges
+                .entry((head.src.clone(), head.dst.clone()))
+                .or_default()
+                .extend(slot..slot + run.len());
+            slot += run.len();
+        }
+        slot = first;
+        for run in bucket.chunk_by(|(_, a), (_, b)| a.request_id == b.request_id) {
+            if let Some(id) = &run[0].1.request_id {
+                self.ids
+                    .entry(id.clone())
+                    .or_default()
+                    .extend(slot..slot + run.len());
+            }
+            slot += run.len();
+        }
+        let mut seq_high = self.events.last().map_or(0, |last| last.seq_high);
+        self.events.extend(bucket.into_iter().map(|(seq, event)| {
+            seq_high = seq_high.max(seq);
+            StoredEvent {
+                seq,
+                seq_high,
+                event,
+            }
+        }));
     }
 
     fn rebuild_indexes(&mut self) {
@@ -333,8 +383,9 @@ impl EventStore {
             return;
         }
         let base = self.seq.fetch_add(n as u64, Ordering::Relaxed);
+        let per_shard = n.div_ceil(self.shards.len());
         let mut buckets: Vec<Vec<(u64, Event)>> = Vec::new();
-        buckets.resize_with(self.shards.len(), Vec::new);
+        buckets.resize_with(self.shards.len(), || Vec::with_capacity(per_shard));
         for (offset, event) in events.into_iter().enumerate() {
             let seq = base + offset as u64;
             buckets[self.shard_for(seq)].push((seq, event));
@@ -345,9 +396,7 @@ impl EventStore {
                 continue;
             }
             let mut inner = self.shards[shard].inner.write();
-            for (seq, event) in bucket {
-                inner.append(seq, event);
-            }
+            inner.append_batch(bucket);
             shard_lens.push((shard, inner.events.len()));
         }
         self.count.fetch_add(n, Ordering::Relaxed);
@@ -569,31 +618,69 @@ impl EventStore {
             .max()
     }
 
-    /// Returns every event with insertion sequence `>= cursor`, in
-    /// arrival order, together with the cursor to pass on the next
-    /// poll.
+    /// Hands `visit` every event with insertion sequence `>= cursor`,
+    /// borrowed from the store and in arrival order, and returns its
+    /// result with the cursor to pass on the next poll — the tail read
+    /// every follower is built on.
     ///
-    /// This is the live-tail API: a follower starts at `0` (full
-    /// history) or [`EventStore::tail_cursor`] (future events only)
-    /// and calls again with each returned cursor to receive exactly
-    /// the events that arrived in between. Per-shard vectors are not
-    /// sequence-sorted under concurrent writers, so each poll filters
-    /// and re-sorts the tail.
-    pub fn events_after(&self, cursor: u64) -> (Vec<Event>, u64) {
-        let mut fresh: Vec<StoredEvent> = Vec::new();
-        for shard in self.shards.iter() {
-            let inner = shard.inner.read();
+    /// A follower starts at `0` (full history) or
+    /// [`EventStore::tail_cursor`] (future events only) and calls
+    /// again with each returned cursor to receive exactly the events
+    /// that arrived in between. A shard's vector is not sequence-sorted
+    /// under concurrent writers, but the running maximum kept beside
+    /// each slot is: the tail starts where that maximum first reaches
+    /// `cursor`, so a poll costs O(log n + new) and copies nothing
+    /// that `visit` does not copy itself.
+    ///
+    /// Every shard's read lock is held until `visit` returns, and the
+    /// rule of [`EventStore::read`] applies: **`visit` must not write
+    /// to or re-enter the store**, nor wait for anything that does — a
+    /// network write belongs after the call. Locks are always taken in
+    /// the order follower (a `LiveMonitor`'s, then its
+    /// [`HealthMonitor`](crate::HealthMonitor)'s) before shards, never
+    /// the reverse.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gremlin_store::{Event, EventStore};
+    ///
+    /// let store = EventStore::new();
+    /// store.record_event(Event::request("a", "b", "GET", "/x"));
+    /// let (seen, cursor) = store.read_after(0, |events| events.len());
+    /// assert_eq!(seen, 1);
+    /// store.record_event(Event::request("a", "b", "GET", "/y"));
+    /// let (fresh, _) = store.read_after(cursor, |events| events.len());
+    /// assert_eq!(fresh, 1);
+    /// ```
+    pub fn read_after<R>(&self, cursor: u64, visit: impl FnOnce(&[&Event]) -> R) -> (R, u64) {
+        let shards: Vec<_> = self.shards.iter().map(|shard| shard.inner.read()).collect();
+        let mut fresh: Vec<&StoredEvent> = Vec::new();
+        for shard in &shards {
+            let tail = shard
+                .events
+                .partition_point(|stored| stored.seq_high < cursor);
             fresh.extend(
-                inner
-                    .events
+                shard.events[tail..]
                     .iter()
-                    .filter(|stored| stored.seq >= cursor)
-                    .cloned(),
+                    .filter(|stored| stored.seq >= cursor),
             );
         }
-        fresh.sort_unstable_by_key(|stored| stored.seq);
-        let next = fresh.last().map(|stored| stored.seq + 1).unwrap_or(cursor);
-        (fresh.into_iter().map(|stored| stored.event).collect(), next)
+        if !fresh.is_sorted_by_key(|stored| stored.seq) {
+            fresh.sort_unstable_by_key(|stored| stored.seq);
+        }
+        let next = fresh.last().map_or(cursor, |stored| stored.seq + 1);
+        let events: Vec<&Event> = fresh.iter().map(|stored| &stored.event).collect();
+        (visit(&events), next)
+    }
+
+    /// Copies of every event with insertion sequence `>= cursor`, in
+    /// arrival order, with the next cursor: [`EventStore::read_after`]
+    /// for callers that keep the batch.
+    pub fn events_after(&self, cursor: u64) -> (Vec<Event>, u64) {
+        self.read_after(cursor, |events| {
+            events.iter().map(|&event| event.clone()).collect()
+        })
     }
 
     /// The cursor positioned after every event recorded so far; a
@@ -1172,6 +1259,49 @@ mod tests {
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0].src, "x");
         assert!(next > cursor);
+    }
+
+    /// Two writers can reserve sequence numbers in one order and reach
+    /// a shard in the other, so a slot can sit behind a higher one; the
+    /// tail read starts at the running maximum, not at the slot's own
+    /// number, and must still find it — before and after retention.
+    #[test]
+    fn read_after_finds_slots_appended_out_of_sequence_order() {
+        let store = EventStore::with_shards(1);
+        let arrival = [0u64, 1, 5, 2, 7, 3, 6, 4];
+        {
+            let mut inner = store.shards[0].inner.write();
+            for seq in arrival {
+                inner.append(
+                    seq,
+                    Event::request("a", "b", "GET", "/").with_timestamp(seq),
+                );
+            }
+            inner.append_batch(vec![
+                (9, Event::request("a", "b", "GET", "/").with_timestamp(9)),
+                (8, Event::request("a", "b", "GET", "/").with_timestamp(8)),
+            ]);
+            let highs: Vec<u64> = inner.events.iter().map(|s| s.seq_high).collect();
+            assert_eq!(highs, [0, 1, 5, 5, 7, 7, 7, 7, 9, 9]);
+        }
+        let tail = |cursor: u64| {
+            store.read_after(cursor, |events| {
+                events.iter().map(|e| e.timestamp_us).collect::<Vec<_>>()
+            })
+        };
+        for cursor in 0..12 {
+            let expected: Vec<u64> = (cursor..10).collect();
+            let next = if cursor < 10 { 10 } else { cursor };
+            assert_eq!(tail(cursor), (expected, next), "cursor {cursor}");
+        }
+        // Retention removes slots, never raises a remaining bound.
+        store.count.store(10, Ordering::Relaxed);
+        assert_eq!(store.prune_before(3), 3);
+        for cursor in 0..12 {
+            let expected: Vec<u64> = (cursor.max(3)..10).collect();
+            let next = if cursor < 10 { 10 } else { cursor };
+            assert_eq!(tail(cursor), (expected, next), "pruned, cursor {cursor}");
+        }
     }
 
     #[test]

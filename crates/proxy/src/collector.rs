@@ -7,10 +7,10 @@
 //! that forwards observations (newline-delimited JSON, batched) to a
 //! [`CollectorServer`] fronting the store.
 
+use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -54,7 +54,7 @@ pub const HEALTH_SCHEMA_VERSION: u32 = 2;
 /// depending on the analysis layer.
 pub trait MonitorSource: Send + Sync + std::fmt::Debug {
     /// Consumes newly recorded events (incremental — implementations
-    /// use `EventStore::events_after`, never full-store scans).
+    /// use `EventStore::read_after`, never full-store scans).
     fn refresh(&self);
 
     /// The current monitor state as a JSON object:
@@ -70,7 +70,7 @@ pub trait MonitorSource: Send + Sync + std::fmt::Debug {
 
 impl MonitorSource for HealthMonitor {
     fn refresh(&self) {
-        self.poll();
+        self.poll_with(|_| ());
     }
 
     fn health_json(&self) -> String {
@@ -204,8 +204,11 @@ impl Drop for SubscriberGuard {
 /// `GET /tail` answers with `Transfer-Encoding: chunked` and streams
 /// every event recorded *after* the request arrived, one JSON object
 /// per line (blank heartbeat lines keep the connection alive); add
-/// `?from=0` to replay the store from the beginning first. The stream
-/// runs until the client disconnects or the collector shuts down.
+/// `?from=<cursor>` to start at a store cursor instead — `0` replays
+/// the store from the beginning first, `/stats`' `tail_cursor` or the
+/// position an earlier tail reached resumes there; anything but an
+/// integer is a `400`. The stream runs until the client disconnects or
+/// the collector shuts down.
 #[derive(Debug)]
 pub struct CollectorServer {
     server: HttpServer,
@@ -367,7 +370,9 @@ fn handle_collect(
             let mut parse_errors = 0usize;
             let mut first_error: Option<String> = None;
             for line in ndjson::lines(body) {
-                match ndjson::read_line(line) {
+                // A batch comes from one agent: names a line shares
+                // with the one before are shared, not allocated again.
+                match ndjson::read_line_after(line, events.last()) {
                     // An empty request ID can never match a flow
                     // query — the event would sit in the store
                     // invisible to every trace. Reject it loudly
@@ -656,17 +661,29 @@ fn series_response(scraper: &Arc<Scraper>, query: &str) -> Response {
 
 /// `GET /tail`: a chunked NDJSON stream of events. The cursor is
 /// pinned while handling the request, so nothing recorded after the
-/// request arrived is missed; `?from=0` replays history first.
+/// request arrived is missed; `?from=<cursor>` starts at that store
+/// cursor instead (`from=0` replays history first, a cursor from
+/// `/stats` or an earlier tail resumes there).
 fn tail_reply(
     store: &Arc<EventStore>,
     request: &Request,
     metrics: &Arc<CollectorMetrics>,
 ) -> Reply {
-    let from_start = request
-        .query()
-        .map(|q| q.split('&').any(|pair| pair == "from=0"))
-        .unwrap_or(false);
-    let mut cursor = if from_start { 0 } else { store.tail_cursor() };
+    let from = query_params(request.query().unwrap_or(""))
+        .into_iter()
+        .find(|(key, _)| *key == "from")
+        .map(|(_, value)| value.parse::<u64>());
+    let mut cursor = match from {
+        None => store.tail_cursor(),
+        Some(Ok(cursor)) => cursor,
+        Some(Err(_)) => {
+            return Reply::Full(
+                Response::builder(StatusCode::BAD_REQUEST)
+                    .body("from must be an integer store cursor")
+                    .build(),
+            )
+        }
+    };
     let store = Arc::clone(store);
     metrics.tail_subscribers.inc();
     let guard = SubscriberGuard(Arc::clone(&metrics.tail_subscribers));
@@ -675,9 +692,15 @@ fn tail_reply(
         let mut idle_polls = 0u32;
         let mut lines = Vec::new();
         loop {
-            let (events, next) = store.events_after(cursor);
+            // Encoded under the store's read locks, sent after them.
+            lines.clear();
+            let ((), next) = store.read_after(cursor, |events| {
+                for event in events {
+                    ndjson::write_line(event, &mut lines);
+                }
+            });
             cursor = next;
-            if events.is_empty() {
+            if lines.is_empty() {
                 thread::sleep(Duration::from_millis(25));
                 idle_polls += 1;
                 // Periodic blank heartbeat line: readers skip it, and
@@ -690,10 +713,6 @@ fn tail_reply(
             }
             idle_polls = 0;
             // One chunk per poll; readers split on lines, not chunks.
-            lines.clear();
-            for event in &events {
-                ndjson::write_line(event, &mut lines);
-            }
             sink.send(&lines)?;
         }
     })
@@ -742,19 +761,51 @@ fn alerts_reply(monitor: &Arc<dyn MonitorSource>, metrics: &Arc<CollectorMetrics
 /// An [`EventSink`] forwarding observations to a remote
 /// [`CollectorServer`].
 ///
-/// Events are buffered on a background thread and shipped in batches
-/// (bounded by size and linger time), so the data path never blocks
-/// on the collector. Dropping the sink flushes the buffer.
+/// [`EventSink::record`] encodes the event straight into the body of
+/// the next `POST /events`; a background thread posts a batch when it
+/// is full (`batch_size` events — no request carries more), when
+/// `linger` passes, on [`HttpEventSink::flush`] and on drop, so the
+/// data path never waits on the collector. Dropping the sink posts
+/// what it still holds.
 #[derive(Debug)]
 pub struct HttpEventSink {
-    sender: mpsc::Sender<SinkMessage>,
+    shared: Arc<SinkShared>,
     worker: Option<thread::JoinHandle<()>>,
-    dropped: Arc<AtomicU64>,
 }
 
-enum SinkMessage {
-    Record(Event),
-    Flush(mpsc::Sender<()>),
+/// What the recording threads and the worker share.
+#[derive(Debug)]
+struct SinkShared {
+    state: Mutex<SinkState>,
+    /// Wakes the worker: a batch became ready, a flush was requested,
+    /// or the sink closed.
+    work: Condvar,
+    /// Wakes flushers: `flush_done` advanced.
+    flushed: Condvar,
+    batch_size: usize,
+    dropped: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct SinkState {
+    /// The batch `record` is encoding into.
+    open: Batch,
+    /// Full batches waiting for the worker, oldest first.
+    ready: VecDeque<Batch>,
+    /// Flush generations: a flusher takes the next `flush_requested`
+    /// as its ticket and waits until `flush_done` reaches it.
+    flush_requested: u64,
+    flush_done: u64,
+    /// Set when the sink is dropped; later records are discarded.
+    closed: bool,
+}
+
+impl SinkShared {
+    /// The lock, whatever happened to a thread that held it: every
+    /// update leaves the state valid between two statements.
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Configuration for [`HttpEventSink`].
@@ -784,63 +835,61 @@ impl HttpEventSink {
 
     /// Creates a sink with explicit batching configuration.
     pub fn with_config(addr: SocketAddr, config: SinkConfig) -> HttpEventSink {
-        let (sender, receiver) = mpsc::channel::<SinkMessage>();
-        let dropped = Arc::new(AtomicU64::new(0));
-        let dropped_for_worker = Arc::clone(&dropped);
+        let shared = Arc::new(SinkShared {
+            state: Mutex::default(),
+            work: Condvar::new(),
+            flushed: Condvar::new(),
+            batch_size: config.batch_size,
+            dropped: AtomicU64::new(0),
+        });
+        let for_worker = Arc::clone(&shared);
         let worker = thread::Builder::new()
             .name("gremlin-event-sink".to_string())
-            .spawn(move || {
-                let client = HttpClient::new();
-                // The batch is its bytes: each event is encoded into
-                // the next request's body as it arrives.
-                let mut batch = Batch::default();
-                loop {
-                    match receiver.recv_timeout(config.linger) {
-                        Ok(SinkMessage::Record(event)) => {
-                            ndjson::write_line(&event, &mut batch.body);
-                            batch.held += 1;
-                            if batch.held >= config.batch_size {
-                                ship(&client, addr, &mut batch, &dropped_for_worker);
-                            }
-                        }
-                        Ok(SinkMessage::Flush(ack)) => {
-                            ship(&client, addr, &mut batch, &dropped_for_worker);
-                            let _ = ack.send(());
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            ship(&client, addr, &mut batch, &dropped_for_worker);
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            ship(&client, addr, &mut batch, &dropped_for_worker);
-                            break;
-                        }
-                    }
-                }
-            })
+            .spawn(move || run_sink_worker(&for_worker, addr, config.linger))
             .expect("failed to spawn event-sink thread");
         HttpEventSink {
-            sender,
+            shared,
             worker: Some(worker),
-            dropped,
         }
     }
 
-    /// Blocks until every buffered event has been shipped.
-    pub fn flush(&self) {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        if self.sender.send(SinkMessage::Flush(ack_tx)).is_ok() {
-            let _ = ack_rx.recv_timeout(Duration::from_secs(10));
-        }
+    /// Blocks until everything recorded before the call has been
+    /// posted — acknowledged by the collector or counted in
+    /// [`HttpEventSink::dropped`] — and returns `true`; returns
+    /// `false` if that took longer than ten seconds, in which case the
+    /// worker is still at it.
+    pub fn flush(&self) -> bool {
+        self.flush_within(Duration::from_secs(10))
+    }
+
+    fn flush_within(&self, timeout: Duration) -> bool {
+        let mut state = self.shared.state();
+        state.flush_requested += 1;
+        let ticket = state.flush_requested;
+        self.shared.work.notify_one();
+        let (_state, wait) = self
+            .shared
+            .flushed
+            .wait_timeout_while(state, timeout, |state| state.flush_done < ticket)
+            .unwrap_or_else(PoisonError::into_inner);
+        !wait.timed_out()
     }
 
     /// Events dropped because the collector was unreachable.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.shared.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Stops accepting records and lets the worker post what is held
+    /// and exit.
+    fn close(&self) {
+        self.shared.state().closed = true;
+        self.shared.work.notify_one();
     }
 }
 
-/// The events a sink worker holds between two posts, already encoded.
-#[derive(Default)]
+/// The events a sink holds between two posts, already encoded.
+#[derive(Debug, Default)]
 struct Batch {
     /// The NDJSON body of the next `POST /events`.
     body: Vec<u8>,
@@ -848,19 +897,66 @@ struct Batch {
     held: usize,
 }
 
-/// Posts the batch and leaves an empty one of the same capacity.
-/// Counts as dropped what the collector did not import: on an error
-/// reply that says how many lines it kept (`{"imported":N,…}`), the
-/// rest; without such a reply — connect error, non-JSON body — all.
-fn ship(client: &HttpClient, addr: SocketAddr, batch: &mut Batch, dropped: &AtomicU64) {
-    if batch.held == 0 {
-        return;
+impl Batch {
+    /// Takes the batch, leaving an empty one of the same capacity.
+    fn take(&mut self) -> Batch {
+        let empty = Batch {
+            body: Vec::with_capacity(self.body.capacity()),
+            held: 0,
+        };
+        std::mem::replace(self, empty)
     }
-    let empty = Batch {
-        body: Vec::with_capacity(batch.body.capacity()),
-        held: 0,
-    };
-    let Batch { body, held } = std::mem::replace(batch, empty);
+}
+
+/// The sink's worker. Posts `ready` batches oldest first; with none
+/// left, waits up to `linger` for more, and when a flush is waiting,
+/// the sink closed or the wait ran out, posts the open batch too and
+/// acknowledges the flush generation it saw before that post. Exits
+/// once the sink is closed and empty.
+fn run_sink_worker(shared: &SinkShared, addr: SocketAddr, linger: Duration) {
+    let client = HttpClient::new();
+    let mut state = shared.state();
+    loop {
+        if let Some(batch) = state.ready.pop_front() {
+            drop(state);
+            ship(&client, addr, batch, &shared.dropped);
+            state = shared.state();
+            continue;
+        }
+        if state.flush_requested == state.flush_done && !state.closed {
+            let (woken, wait) = shared
+                .work
+                .wait_timeout(state, linger)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = woken;
+            if !wait.timed_out() || !state.ready.is_empty() {
+                continue;
+            }
+        }
+        // Nothing is ready, so whatever was recorded before this point
+        // and not yet posted is in the open batch.
+        let (flushing, closed) = (state.flush_requested, state.closed);
+        if state.open.held > 0 {
+            let batch = state.open.take();
+            drop(state);
+            ship(&client, addr, batch, &shared.dropped);
+            state = shared.state();
+        }
+        if flushing > state.flush_done {
+            state.flush_done = flushing;
+            shared.flushed.notify_all();
+        }
+        if closed {
+            return;
+        }
+    }
+}
+
+/// Posts the batch. Counts as dropped what the collector did not
+/// import: on an error reply that says how many lines it kept
+/// (`{"imported":N,…}`), the rest; without such a reply — connect
+/// error, non-JSON body — all.
+fn ship(client: &HttpClient, addr: SocketAddr, Batch { body, held }: Batch, dropped: &AtomicU64) {
     let request = Request::builder(Method::Post, "/events")
         .header("Content-Type", "application/x-ndjson")
         .body(body)
@@ -878,18 +974,25 @@ fn ship(client: &HttpClient, addr: SocketAddr, batch: &mut Batch, dropped: &Atom
 
 impl EventSink for HttpEventSink {
     fn record(&self, event: Event) {
-        // A closed channel means we are shutting down; the event is
-        // deliberately dropped.
-        let _ = self.sender.send(SinkMessage::Record(event));
+        let mut state = self.shared.state();
+        // The sink is shutting down; the event is deliberately dropped.
+        if state.closed {
+            return;
+        }
+        ndjson::write_line(&event, &mut state.open.body);
+        state.open.held += 1;
+        if state.open.held >= self.shared.batch_size {
+            let full = state.open.take();
+            state.ready.push_back(full);
+            drop(state);
+            self.shared.work.notify_one();
+        }
     }
 }
 
 impl Drop for HttpEventSink {
     fn drop(&mut self) {
-        self.flush();
-        // Close the channel so the worker drains and exits.
-        let (closed_tx, _) = mpsc::channel();
-        let _ = std::mem::replace(&mut self.sender, closed_tx);
+        self.close();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -1396,6 +1499,53 @@ mod tests {
         }
     }
 
+    /// `gremlin tail --from N` sends `from=N`; anything but `from=0`
+    /// used to be ignored and the stream started from *now*.
+    #[test]
+    fn tail_from_a_cursor_resumes_there() {
+        let store = EventStore::shared();
+        for index in 0..10 {
+            store.record_event(event(index));
+        }
+        let collector = CollectorServer::start(Arc::clone(&store), "127.0.0.1:0").unwrap();
+
+        let stream = std::net::TcpStream::connect(collector.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        gremlin_http::codec::write_request(&mut writer, &Request::get("/tail?from=4")).unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let head = gremlin_http::codec::read_response_head(&mut reader).unwrap();
+        assert_eq!(head.status(), StatusCode::OK);
+        let mut chunks = gremlin_http::codec::ChunkReader::new(reader);
+        let mut seen = Vec::new();
+        let mut ids_after = |count: usize| {
+            while ndjson::lines(&seen).count() < count || !seen.ends_with(b"\n") {
+                let chunk = chunks.next_chunk().unwrap().expect("stream ended");
+                seen.extend_from_slice(&chunk);
+            }
+            ndjson::lines(&seen)
+                .map(|line| ndjson::read_line(line).unwrap().request_id.unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            ids_after(6),
+            ["test-4", "test-5", "test-6", "test-7", "test-8", "test-9"]
+        );
+        // Then it follows.
+        store.record_event(event(10));
+        assert_eq!(ids_after(7).last().unwrap(), "test-10");
+
+        // A cursor that is not a number is refused, not read as "now".
+        for path in ["/tail?from=abc", "/tail?from=", "/tail?x=1&from=-1"] {
+            let reply = HttpClient::new()
+                .send(collector.local_addr(), Request::get(path))
+                .unwrap();
+            assert_eq!(reply.status(), StatusCode::BAD_REQUEST, "{path}");
+        }
+    }
+
     #[test]
     fn sink_ships_batches_to_collector() {
         let store = EventStore::shared();
@@ -1460,6 +1610,103 @@ mod tests {
             sink.record(event(2));
         } // drop flushes
         assert_eq!(store.len(), 2);
+    }
+
+    /// `flush` used to give up after its deadline without telling the
+    /// caller. A collector that accepts and never answers: the flush
+    /// reports the timeout, and once the connection is gone the batch
+    /// is accounted for.
+    #[test]
+    fn flush_reports_a_timeout_and_the_batch_is_accounted_for() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (hang_up, hung_up) = std::sync::mpsc::channel::<()>();
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let _ = hung_up.recv();
+            drop(stream);
+        });
+        let sink = HttpEventSink::new(addr);
+        sink.record(event(1));
+        sink.record(event(2));
+        let started = Instant::now();
+        assert!(!sink.flush_within(Duration::from_millis(200)));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(sink.dropped(), 0, "the post is still in flight");
+
+        hang_up.send(()).unwrap();
+        server.join().unwrap();
+        // The worker finishes the post it was in, then acknowledges.
+        assert!(sink.flush());
+        assert_eq!(sink.dropped(), 2);
+    }
+
+    /// Eight recording threads against one sink, flushes in between:
+    /// every event reaches the collector exactly once, each thread's in
+    /// the order it recorded them, and no request carries more than
+    /// `batch_size` events.
+    #[test]
+    fn concurrent_records_arrive_once_in_order_in_bounded_posts() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 2000;
+        let posts: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+        let received = Arc::clone(&posts);
+        let collector = HttpServer::bind("127.0.0.1:0", move |request: Request, _: &ConnInfo| {
+            let imported = ndjson::lines(request.body()).count();
+            received.lock().unwrap().push(request.body().to_vec());
+            Reply::Full(
+                Response::builder(StatusCode::OK)
+                    .body(format!("{{\"imported\":{imported}}}"))
+                    .build(),
+            )
+        })
+        .unwrap();
+        let config = SinkConfig::default();
+        let sink = HttpEventSink::with_config(collector.local_addr(), config.clone());
+        thread::scope(|scope| {
+            for thread_id in 0..THREADS {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for index in 0..PER_THREAD {
+                        sink.record(event(thread_id * PER_THREAD + index));
+                        if index % 257 == thread_id {
+                            assert!(sink.flush());
+                        }
+                    }
+                });
+            }
+        });
+        assert!(sink.flush());
+        assert_eq!(sink.dropped(), 0);
+
+        let posts = posts.lock().unwrap();
+        let mut next = [0u64; THREADS as usize];
+        for body in posts.iter() {
+            let lines: Vec<&[u8]> = ndjson::lines(body).collect();
+            assert!(!lines.is_empty() && lines.len() <= config.batch_size);
+            for line in lines {
+                let index = ndjson::read_line(line).unwrap().timestamp_us;
+                let thread_id = (index / PER_THREAD) as usize;
+                assert_eq!(index % PER_THREAD, next[thread_id], "thread {thread_id}");
+                next[thread_id] += 1;
+            }
+        }
+        assert_eq!(next, [PER_THREAD; THREADS as usize]);
+    }
+
+    /// A record that arrives once the sink began shutting down is
+    /// discarded: no panic, nothing posted, nothing counted.
+    #[test]
+    fn record_after_close_is_discarded() {
+        let store = EventStore::shared();
+        let collector = CollectorServer::start(Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let sink = HttpEventSink::new(collector.local_addr());
+        sink.record(event(1));
+        sink.close();
+        sink.record(event(2));
+        drop(sink);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.snapshot()[0].request_id.as_deref(), Some("test-1"));
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn delay_flags_only_the_faulted_edge_and_replays_from_disk() {
         .unwrap_or(0);
     assert_eq!(
         queries_before, queries_after,
-        "anomaly scoring must ride events_after, not store queries"
+        "anomaly scoring must ride the tail read, not store queries"
     );
 
     // The collector's /health carries the versioned schema, the

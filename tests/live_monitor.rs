@@ -140,7 +140,7 @@ fn latency_slo_alerts_stream_and_recipe_aborts_early() {
         .unwrap_or(0);
     assert_eq!(
         queries_before, queries_after,
-        "live monitoring must use events_after, not store queries"
+        "live monitoring must use the tail read, not store queries"
     );
 
     // The alert stream carried the Failing flip while the run was
